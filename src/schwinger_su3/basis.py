@@ -12,15 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from functools import lru_cache
+from typing import Iterator, List, Tuple
 
-from .catalog import InvalidWeightError, IrrepLabel, WeightLabel, k_of, weight_from_iy
+from .catalog import IrrepLabel, WeightLabel, k_of, weight_from_iy
 from .poly import (
     Polynomial,
     bargmann_inner,
     monomials_of_bidegree,
+    trace_free_terms,
+    trace_series,
 )
-from .operators import OperatorExpr, sp2r_generator, su2_ladder
+from .operators import sp2r_generator, su2_ladder
 from .scalars import Qsqrt3
 
 _KMINUS = sp2r_generator("Kminus")
@@ -246,11 +249,29 @@ def enumerate_basis_keys(max_pq: int, extra_m_levels: int = 2) -> Iterator[Basis
 # -- trace removal --------------------------------------------------------------
 
 
-def _require_bidegree(f: Polynomial) -> Tuple[int, int]:
-    d = f.bidegree()
-    if d is None:
+def _run_trace_kernel(f: Polynomial, kernel) -> Polynomial:
+    """Run a ``poly`` trace kernel, (integer terms, p, q) -> (D h, D), on the
+    rational and the sqrt(3) part of f's coefficients, each cleared to integers
+    over one common denominator L; h / (D L) is that part of the result."""
+    if not f:
+        return f
+    pq = f.bidegree()
+    if pq is None:
         raise ValueError("polynomial is not bihomogeneous")
-    return d
+    p, q = pq
+    parts = []
+    for part in ("rat", "surd"):
+        fracs = [(m, x) for m, c in f.terms.items() if (x := getattr(c, part))]
+        den = math.lcm(*(x.denominator for _, x in fracs))
+        ints = {m: x.numerator * (den // x.denominator) for m, x in fracs}
+        out, scale = kernel(ints, p, q) if ints else ({}, 1)
+        den *= scale
+        parts.append({m: Fraction(c, den) for m, c in out.items()})
+    rat, surd = parts
+    zero = Fraction(0)
+    terms = {m: Qsqrt3._of(c, surd.pop(m, zero)) for m, c in rat.items()}
+    terms.update((m, Qsqrt3._of(zero, c)) for m, c in surd.items())
+    return Polynomial._of(terms)
 
 
 def traceless_project(f: Polynomial) -> Polynomial:
@@ -259,50 +280,12 @@ def traceless_project(f: Polynomial) -> Polynomial:
     f0 = f - sum_n (-1)^(n-1) (p+q+1-n)!/(n! (p+q+1)!) (z.w)^n K-^n f,
     the unique component annihilated by K-.
     """
-    if not f:
-        return f
-    p, q = _require_bidegree(f)
-    return f - _trace_part(f, p, q)
-
-
-def _trace_part(f: Polynomial, p: int, q: int) -> Polynomial:
-    total = Polynomial.zero()
-    km = f
-    zw_pow = Polynomial.constant(1)
-    d = p + q + 1
-    for n in range(1, min(p, q) + 1):
-        km = _KMINUS.apply_real(km)
-        if not km:
-            break
-        zw_pow = zw_pow * ZW
-        alpha = Fraction(
-            (-1) ** (n - 1) * math.factorial(d - n),
-            math.factorial(n) * math.factorial(d),
-        )
-        total = total + (zw_pow * km).scale(alpha)
-    return total
+    return _run_trace_kernel(f, trace_free_terms)
 
 
 def zw_cofactor(f: Polynomial) -> Polynomial:
     """g with f - traceless_project(f) = (z.w) g, read off the projector series."""
-    if not f:
-        return f
-    p, q = _require_bidegree(f)
-    total = Polynomial.zero()
-    km = f
-    zw_pow = Polynomial.constant(1)
-    d = p + q + 1
-    for n in range(1, min(p, q) + 1):
-        km = _KMINUS.apply_real(km)
-        if not km:
-            break
-        alpha = Fraction(
-            (-1) ** (n - 1) * math.factorial(d - n),
-            math.factorial(n) * math.factorial(d),
-        )
-        total = total + (zw_pow * km).scale(alpha)
-        zw_pow = zw_pow * ZW
-    return total
+    return _run_trace_kernel(f, trace_series)
 
 
 def h0_membership(f: Polynomial) -> bool:
@@ -310,15 +293,20 @@ def h0_membership(f: Polynomial) -> bool:
     return not _KMINUS.apply_real(f)
 
 
+@lru_cache(maxsize=None)
+def _casimir():
+    """(K+K- + K-K+)/2 - J0^2, built and normal-ordered on first use."""
+    return (
+        _KPLUS.compose(_KMINUS) + _KMINUS.compose(_KPLUS)
+    ).scale(Fraction(1, 2)) - _J0.compose(_J0)
+
+
 def sp2r_casimir_check(state: NormalizedState) -> bool:
     """Verify (K+K- + K-K+)/2 - J0^2 acts as k(1-k) on the state, exactly."""
     rep = state.key.rep
     k2 = k_of(rep)
     eig = Fraction(k2 * (2 - k2), 4)  # k(1-k) with 2k = k2
-    casimir = (
-        _KPLUS.compose(_KMINUS) + _KMINUS.compose(_KPLUS)
-    ).scale(Fraction(1, 2)) - _J0.compose(_J0)
-    got = casimir.apply_real(state.poly)
+    got = _casimir().apply_real(state.poly)
     return got == state.poly.scale(eig)
 
 

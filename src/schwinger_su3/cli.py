@@ -32,7 +32,7 @@ from .catalog import (
     weight_from_iy,
 )
 from .induced import equivalence_map
-from .poly import Polynomial, poly_from_records, poly_to_records
+from .poly import Polynomial, PolyFormatError, poly_from_records, poly_to_records
 
 
 class CliError(Exception):
@@ -165,11 +165,14 @@ def _read_poly(args) -> Polynomial:
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {args.input}: {exc.strerror}") from None
     try:
         return poly_from_records(json.loads(text))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, PolyFormatError) as exc:
         raise CliError(f"bad polynomial JSON: {exc}") from None
 
 
@@ -241,6 +244,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, least in (
+        ("--max-pq", args.max_pq, 0),
+        ("--degree", args.degree, 0),
+        ("--samples", args.samples, 1),
+        ("--numeric-samples", args.numeric_samples, 1),
+    ):
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}, got {value}")
     suites = verify_mod.run_all(
         max_pq=args.max_pq,
         degree=args.degree,

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .basis import h0_membership
-from .poly import Polynomial, _factorial
+from .poly import Polynomial
 
 Channel = Tuple[int, int]
 
@@ -53,8 +53,8 @@ def sphere_monomial_integral(holo: Tuple[int, int, int], anti: Tuple[int, int, i
     total = sum(holo)
     num = 1
     for a in holo:
-        num *= _factorial(a)
-    return Fraction(num, _factorial(total + 2))
+        num *= math.factorial(a)
+    return Fraction(num, math.factorial(total + 2))
 
 
 def _contraction_trace_free(f: Polynomial) -> bool:
@@ -121,7 +121,7 @@ def induced_inner_formula(phi: SphereFunction, psi: SphereFunction) -> Fraction:
         if gq is None:
             continue
         p, q = chan
-        denom = _factorial(p + q + 2)
+        denom = math.factorial(p + q + 2)
         base = Fraction(0)
         for m, c1 in fp.terms.items():
             c2 = gq.terms.get(m)
@@ -129,7 +129,7 @@ def induced_inner_formula(phi: SphereFunction, psi: SphereFunction) -> Fraction:
                 continue
             w = 1
             for e in m:
-                w *= _factorial(e)
+                w *= math.factorial(e)
             base += (c1 * c2).as_fraction() * Fraction(w, denom)
         if base:
             total += base * _sqrt_exact(phi.scale_sq(chan) * psi.scale_sq(chan))
@@ -146,5 +146,5 @@ def equivalence_map(f: Polynomial) -> SphereFunction:
         raise ValueError("equivalence map requires a trace-free (K- annihilated) input")
     scales: Dict[Channel, Fraction] = {}
     for (p, q) in f.bidegree_split():
-        scales[(p, q)] = Fraction(_factorial(p + q + 2))
+        scales[(p, q)] = Fraction(math.factorial(p + q + 2))
     return SphereFunction(poly=f, traceless=True, channel_scale_sq=scales)

@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .poly import Monomial, Polynomial, monomials_of_bidegree
+from .poly import Monomial, Polynomial, monomials_of_bidegree, trace_free_terms
 
 NumericPolynomial = Dict[Monomial, complex]
 
@@ -58,10 +58,6 @@ def n_add(f: NumericPolynomial, g: NumericPolynomial, scale: complex = 1.0) -> N
     return out
 
 
-def n_scale(f: NumericPolynomial, s: complex) -> NumericPolynomial:
-    return {m: s * c for m, c in f.items()}
-
-
 def n_max_abs(f: NumericPolynomial) -> float:
     return max((abs(c) for c in f.values()), default=0.0)
 
@@ -78,53 +74,10 @@ def n_inner(f: NumericPolynomial, g: NumericPolynomial) -> complex:
     return total
 
 
-def n_kminus(f: NumericPolynomial) -> NumericPolynomial:
-    out: NumericPolynomial = {}
-    for m, c in f.items():
-        for j in range(3):
-            if m[j] and m[j + 3]:
-                t = list(m)
-                factor = t[j] * t[j + 3]
-                t[j] -= 1
-                t[j + 3] -= 1
-                t = tuple(t)
-                out[t] = out.get(t, 0.0) + factor * c
-    return out
-
-
-def n_zw_mul(f: NumericPolynomial) -> NumericPolynomial:
-    out: NumericPolynomial = {}
-    for m, c in f.items():
-        for j in range(3):
-            t = list(m)
-            t[j] += 1
-            t[j + 3] += 1
-            t = tuple(t)
-            out[t] = out.get(t, 0.0) + c
-    return out
-
-
 def n_traceless_project(f: NumericPolynomial, p: int, q: int) -> NumericPolynomial:
     """Float shadow of the exact trace-removal projector on bidegree (p, q)."""
-    out = dict(f)
-    km = f
-    zw_pow: NumericPolynomial = {(0, 0, 0, 0, 0, 0): 1.0}
-    d = p + q + 1
-    for n in range(1, min(p, q) + 1):
-        km = n_kminus(km)
-        if not km:
-            break
-        zw_pow = n_zw_mul(zw_pow)
-        alpha = (-1) ** (n - 1) * math.factorial(d - n) / (
-            math.factorial(n) * math.factorial(d)
-        )
-        term: NumericPolynomial = {}
-        for m1, c1 in zw_pow.items():
-            for m2, c2 in km.items():
-                t = tuple(a + b for a, b in zip(m1, m2))
-                term[t] = term.get(t, 0.0) + c1 * c2
-        out = n_add(out, term, -alpha)
-    return {m: c for m, c in out.items() if c != 0.0}
+    f0, den = trace_free_terms(f, p, q)
+    return {m: c / den for m, c in f0.items()}
 
 
 def act_bargmann(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:

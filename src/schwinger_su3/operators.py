@@ -165,16 +165,7 @@ class OperatorExpr:
                     _accum(re, target, coeff.re * base)
                 if coeff.im:
                     _accum(im, target, coeff.im * base)
-        return _from_terms(re), _from_terms(im)
-
-    def apply_c(
-        self, f: Tuple[Polynomial, Polynomial]
-    ) -> Tuple[Polynomial, Polynomial]:
-        """Apply to a complex polynomial given as a (real, imaginary) pair."""
-        fr, fi = f
-        rr, ri = self.apply(fr)
-        ir, ii = self.apply(fi)
-        return rr - ii, ri + ir
+        return Polynomial._of(re), Polynomial._of(im)
 
     def apply_real(self, f: Polynomial) -> Polynomial:
         """Apply an operator known to be real; errors if an imaginary part appears."""
@@ -194,12 +185,6 @@ def _accum(d: Dict[Monomial, Qsqrt3], m: Monomial, v: Qsqrt3) -> None:
         d[m] = s
     else:
         d.pop(m, None)
-
-
-def _from_terms(d: Dict[Monomial, Qsqrt3]) -> Polynomial:
-    p = Polynomial.__new__(Polynomial)
-    object.__setattr__(p, "terms", d)
-    return p
 
 
 _word_cache: Dict[Word, Dict[NormalKey, int]] = {}

@@ -5,15 +5,20 @@ A monomial is a tuple of six nonnegative exponents ordered
 (z1, z2, z3, w1, w2, w3) and for sphere functions (xi1, xi2, xi3,
 xi*1, xi*2, xi*3).  Coefficients live in Q(sqrt 3); basis states and
 sphere functions only ever use the rational subfield.
+
+The trace series behind trace removal (K- = sum_j d/dz_j d/dw_j, the z.w
+multiplier, and the cofactor series in Horner form) is a kernel on plain
+term dicts: it only adds coefficients and multiplies them by integers, so
+the exact projector runs it on integer-cleared coefficients and the float
+shadow in ``numeric`` on complex ones.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple, TypeVar
 
 from .scalars import Qsqrt3
 
@@ -21,19 +26,16 @@ Monomial = Tuple[int, int, int, int, int, int]
 
 NVARS = 6
 
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    if n < 2:
-        return 1
-    return n * _factorial(n - 1)
+# a term dict of the trace kernel; its coefficients need only + and * by int
+Coeff = TypeVar("Coeff")
+Terms = Dict[Monomial, Coeff]
 
 
 def monomial_norm_sq(m: Monomial) -> int:
     """Squared Bargmann norm of a monomial: the product of exponent factorials."""
     out = 1
     for e in m:
-        out *= _factorial(e)
+        out *= math.factorial(e)
     return out
 
 
@@ -56,6 +58,13 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @staticmethod
+    def _of(terms: Dict[Monomial, Qsqrt3]) -> "Polynomial":
+        """Wrap an already canonical term dict without checking it."""
+        p = Polynomial.__new__(Polynomial)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -102,14 +111,10 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Polynomial._of(out)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "terms", {m: -c for m, c in self.terms.items()})
-        return p
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -118,9 +123,7 @@ class Polynomial:
         c = Qsqrt3.coerce(c)
         if not c:
             return Polynomial.zero()
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "terms", {m: c * v for m, v in self.terms.items()})
-        return p
+        return Polynomial._of({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, Qsqrt3)):
@@ -136,9 +139,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -152,9 +153,7 @@ class Polynomial:
         out = {}
         for m, c in self.terms.items():
             out[m[:i] + (m[i] + 1,) + m[i + 1:]] = c
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Polynomial._of(out)
 
     def mode_diff(self, j: int) -> "Polynomial":
         """Formal partial derivative in variable j (annihilation operator)."""
@@ -166,9 +165,7 @@ class Polynomial:
             e = m[i]
             if e:
                 out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Polynomial._of(out)
 
     def bidegree(self) -> Tuple[int, int] | None:
         """(z-degree, w-degree) if bihomogeneous, else None.  Zero -> None."""
@@ -187,12 +184,7 @@ class Polynomial:
         for m, c in self.terms.items():
             d = (m[0] + m[1] + m[2], m[3] + m[4] + m[5])
             parts.setdefault(d, {})[m] = c
-        out = {}
-        for d, terms in parts.items():
-            p = Polynomial.__new__(Polynomial)
-            object.__setattr__(p, "terms", terms)
-            out[d] = p
-        return out
+        return {d: Polynomial._of(terms) for d, terms in parts.items()}
 
     def coefficient(self, m: Monomial) -> Qsqrt3:
         return self.terms.get(tuple(m), Qsqrt3(0))
@@ -221,6 +213,71 @@ def bargmann_inner(f: Polynomial, g: Polynomial) -> Qsqrt3:
         if cb is not None:
             total = total + ca * cb * monomial_norm_sq(m)
     return total
+
+
+# -- trace series kernel --------------------------------------------------------
+
+
+def _nonzero(terms: Terms) -> Terms:
+    return {m: c for m, c in terms.items() if c}
+
+
+def kminus_terms(terms: Terms) -> Terms:
+    """K- = sum_j d/dz_j d/dw_j on a term dict."""
+    out: Terms = {}
+    for m, c in terms.items():
+        for j in range(3):
+            a, b = m[j], m[j + 3]
+            if a and b:
+                t = m[:j] + (a - 1,) + m[j + 1:j + 3] + (b - 1,) + m[j + 4:]
+                out[t] = out.get(t, 0) + a * b * c
+    return _nonzero(out)
+
+
+def zw_mul_terms(terms: Terms) -> Terms:
+    """(z.w) f = sum_j z_j w_j f on a term dict."""
+    out: Terms = {}
+    for m, c in terms.items():
+        for j in range(3):
+            t = m[:j] + (m[j] + 1,) + m[j + 1:j + 3] + (m[j + 3] + 1,) + m[j + 4:]
+            out[t] = out.get(t, 0) + c
+    return _nonzero(out)
+
+
+def trace_series(terms: Terms, p: int, q: int) -> Tuple[Terms, int]:
+    """(D g, D) for g = sum_{n=1..N} alpha_n (z.w)^(n-1) K-^n f on bidegree (p, q).
+
+    alpha_n = (-1)^(n-1) (d-n)!/(n! d!) with d = p+q+1, N = min(p, q); then
+    f - (z.w) g is the component of f annihilated by K-.  D = d! N! makes each
+    A_n = D alpha_n = (-1)^(n-1) (d-n)! N!/n! an integer, and the sum runs in
+    Horner form D g = A_1 K- f + (z.w)(A_2 K-^2 f + (z.w)(A_3 K-^3 f + ...)).
+    """
+    d, n_max = p + q + 1, min(p, q)
+    powers = []  # K-^n f for n = 1, 2, ... while nonzero
+    km = terms
+    for _ in range(n_max):
+        km = kminus_terms(km)
+        if not km:
+            break
+        powers.append(km)
+    g: Terms = {}
+    for n in range(len(powers), 0, -1):
+        weight = (-1) ** (n - 1) * math.factorial(d - n) * (
+            math.factorial(n_max) // math.factorial(n)
+        )
+        g = zw_mul_terms(g)
+        for m, c in powers[n - 1].items():
+            g[m] = g.get(m, 0) + weight * c
+    return _nonzero(g), math.factorial(d) * math.factorial(n_max)
+
+
+def trace_free_terms(terms: Terms, p: int, q: int) -> Tuple[Terms, int]:
+    """(D f0, D) for the trace-free part f0 = f - (z.w) g, as in trace_series."""
+    g, den = trace_series(terms, p, q)
+    out = {m: den * c for m, c in terms.items()}
+    for m, c in zw_mul_terms(g).items():
+        out[m] = out.get(m, 0) - c
+    return _nonzero(out), den
 
 
 def monomials_of_total_degree(max_degree: int) -> Iterator[Monomial]:
@@ -266,16 +323,57 @@ def poly_to_records(f: Polynomial) -> list:
     return recs
 
 
-def poly_from_records(recs: Iterable[dict]) -> Polynomial:
+class PolyFormatError(ValueError):
+    """Malformed wire-form polynomial."""
+
+
+def _wire_int(r: dict, key: str, default=None) -> int:
+    """An integer field of a term record, given as an int or a decimal string."""
+    v = r.get(key, default)
+    if v is None:
+        raise PolyFormatError(f"term record lacks {key!r}")
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise PolyFormatError(f"{key} must be an integer, got {v!r}")
+
+
+def _wire_fraction(r: dict, num: str, den: str, optional: bool = False) -> Fraction:
+    n = _wire_int(r, num, 0 if optional else None)
+    d = _wire_int(r, den, 1 if optional else None)
+    if d == 0:
+        raise PolyFormatError(f"{den} is zero")
+    return Fraction(n, d)
+
+
+def poly_from_records(recs: list) -> Polynomial:
+    """Inverse of ``poly_to_records``; raises ``PolyFormatError`` on bad input."""
+    if not isinstance(recs, list):
+        raise PolyFormatError("polynomial must be a list of term records")
     terms: Dict[Monomial, Qsqrt3] = {}
     for r in recs:
-        m = tuple(int(e) for e in r["exps"])
+        if not isinstance(r, dict):
+            raise PolyFormatError(f"term record must be an object, got {r!r}")
+        exps = r.get("exps")
+        if not (
+            isinstance(exps, list)
+            and len(exps) == NVARS
+            and all(type(e) is int and e >= 0 for e in exps)
+        ):
+            raise PolyFormatError(
+                f"exps must be a list of 6 non-negative ints, got {exps!r}"
+            )
+        m = tuple(exps)
         c = Qsqrt3(
-            Fraction(int(r["num"]), int(r["den"])),
-            Fraction(int(r.get("surd_num", 0)), int(r.get("surd_den", 1))),
+            _wire_fraction(r, "num", "den"),
+            _wire_fraction(r, "surd_num", "surd_den", optional=True),
         )
         if m in terms:
-            raise ValueError(f"duplicate monomial {m} in serialized polynomial")
+            raise PolyFormatError(f"duplicate monomial {m} in serialized polynomial")
         if c:
             terms[m] = c
     return Polynomial(terms)

@@ -2,8 +2,11 @@
 
 Every stored coefficient in the library is a ``Qsqrt3`` (value = rat + surd*sqrt(3))
 with both parts arbitrary-precision ``Fraction``s.  Plain rational quantities use
-surd = 0.  Complex numbers never enter polynomial coefficients; they appear only
-as ``CScalar`` pairs in operator coefficients.
+surd = 0, and since sqrt 3 only enters through lambda_8 that is nearly every
+coefficient: addition, negation and multiplication (also by an ``int``) take a
+fast path when both sqrt(3) parts are zero, doing one ``Fraction`` operation
+instead of four.  Complex numbers never enter polynomial coefficients; they
+appear only as ``CScalar`` pairs in operator coefficients.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from fractions import Fraction
 from typing import Union
 
 RatLike = Union[int, Fraction]
+
+_F0 = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -27,9 +32,17 @@ class Qsqrt3:
 
     __slots__ = ("rat", "surd")
 
-    def __init__(self, rat: RatLike = 0, surd: RatLike = 0):
+    def __init__(self, rat: RatLike = 0, surd: RatLike = _F0):
         object.__setattr__(self, "rat", _frac(rat))
         object.__setattr__(self, "surd", _frac(surd))
+
+    @staticmethod
+    def _of(rat: Fraction, surd: Fraction = _F0) -> "Qsqrt3":
+        """Build from two ``Fraction``s without coercing them."""
+        x = object.__new__(Qsqrt3)
+        object.__setattr__(x, "rat", rat)
+        object.__setattr__(x, "surd", surd)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("Qsqrt3 is immutable")
@@ -55,12 +68,14 @@ class Qsqrt3:
 
     def __add__(self, other) -> "Qsqrt3":
         other = Qsqrt3.coerce(other)
-        return Qsqrt3(self.rat + other.rat, self.surd + other.surd)
+        if not self.surd and not other.surd:
+            return Qsqrt3._of(self.rat + other.rat)
+        return Qsqrt3._of(self.rat + other.rat, self.surd + other.surd)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Qsqrt3":
-        return Qsqrt3(-self.rat, -self.surd)
+        return Qsqrt3._of(-self.rat, -self.surd if self.surd else _F0)
 
     def __sub__(self, other) -> "Qsqrt3":
         return self + (-Qsqrt3.coerce(other))
@@ -69,9 +84,13 @@ class Qsqrt3:
         return Qsqrt3.coerce(other) + (-self)
 
     def __mul__(self, other) -> "Qsqrt3":
+        if isinstance(other, int) and not self.surd:
+            return Qsqrt3._of(self.rat * other)
         other = Qsqrt3.coerce(other)
+        if not self.surd and not other.surd:
+            return Qsqrt3._of(self.rat * other.rat)
         # (a + b s)(c + d s) = (ac + 3bd) + (ad + bc) s,  s^2 = 3
-        return Qsqrt3(
+        return Qsqrt3._of(
             self.rat * other.rat + 3 * self.surd * other.surd,
             self.rat * other.surd + self.surd * other.rat,
         )
@@ -91,9 +110,6 @@ class Qsqrt3:
 
     def __rtruediv__(self, other) -> "Qsqrt3":
         return Qsqrt3.coerce(other) * self.inverse()
-
-    def is_rational(self) -> bool:
-        return self.surd == 0
 
     def as_fraction(self) -> Fraction:
         """The value as a Fraction; requires a vanishing sqrt(3) part."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from . import numeric
 from .basis import (
@@ -29,9 +29,8 @@ from .basis import (
     traceless_project,
     zw_cofactor,
 )
-from .catalog import IrrepLabel, dim, iy_spectrum, k_of
+from .catalog import IrrepLabel, cg_series, dim, iy_spectrum, k_of
 from .induced import (
-    SphereFunction,
     equivalence_map,
     induced_inner_formula,
     make_sphere_function,
@@ -43,7 +42,6 @@ from .operators import (
     commutator_defect,
     gell_mann,
     sp2r_generator,
-    su2_ladder,
     su3_generator,
 )
 from .poly import Polynomial, bargmann_inner, monomials_of_bidegree
@@ -270,7 +268,7 @@ def suite_cg_counting(max_pq_cg: int = 20, max_pq_spectrum: int = 10) -> Dict:
     for p in range(max_pq_cg + 1):
         for q in range(max_pq_cg + 1):
             lhs = dim(IrrepLabel(p, 0)) * dim(IrrepLabel(0, q))
-            rhs = sum(dim(rep) for rep in _cg(p, q))
+            rhs = sum(dim(rep) for rep in cg_series(p, q))
             if lhs != rhs:
                 failures += 1
     for p in range(max_pq_spectrum + 1):
@@ -281,12 +279,6 @@ def suite_cg_counting(max_pq_cg: int = 20, max_pq_spectrum: int = 10) -> Dict:
             if dim(rep) != dim(IrrepLabel(q, p)):
                 failures += 1
     return {"name": "cg_counting", "passed": failures == 0, "failures": failures}
-
-
-def _cg(p, q):
-    from .catalog import cg_series
-
-    return cg_series(p, q)
 
 
 def traceless_channel_basis(p: int, q: int) -> List[Polynomial]:

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from schwinger_su3 import numeric
 from schwinger_su3.basis import (
     ZW,
     BasisKey,
@@ -25,9 +27,10 @@ from schwinger_su3.basis import (
     traceless_project,
     zw_cofactor,
 )
-from schwinger_su3.catalog import IrrepLabel, WeightLabel, dim, k_of, weight_from_iy
+from schwinger_su3.catalog import IrrepLabel, dim, k_of, weight_from_iy
 from schwinger_su3.operators import sp2r_generator, su2_ladder
 from schwinger_su3.poly import Polynomial, bargmann_inner, monomials_of_bidegree
+from schwinger_su3.scalars import Qsqrt3
 
 KMINUS = sp2r_generator("Kminus")
 J0 = sp2r_generator("J0")
@@ -196,6 +199,49 @@ def test_trace_projector_structure():
         assert traceless_project(f0) == f0
         assert f - f0 == ZW * zw_cofactor(f)
         assert not KMINUS.apply_real(f0)
+
+
+def _reference_series(f):
+    """(f0, g) from the closed-form trace series, built independently of the
+    kernel from OperatorExpr K- and Polynomial powers of z.w."""
+    p, q = f.bidegree()
+    d = p + q + 1
+    g = Polynomial.zero()
+    km = f
+    zw_pow = Polynomial.constant(1)
+    for n in range(1, min(p, q) + 1):
+        km = KMINUS.apply_real(km)
+        alpha = Fraction(
+            (-1) ** (n - 1) * math.factorial(d - n),
+            math.factorial(n) * math.factorial(d),
+        )
+        g = g + (zw_pow * km).scale(alpha)
+        zw_pow = zw_pow * ZW
+    return f - ZW * g, g
+
+
+def _random_input(p, q, rng, surd):
+    terms = {}
+    for m in monomials_of_bidegree(p, q):
+        rat = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        sqrt3 = Fraction(rng.randint(-3, 3), rng.randint(1, 5)) if surd else 0
+        terms[m] = Qsqrt3(rat, sqrt3)
+    return Polynomial(terms)
+
+
+def test_trace_kernel_matches_reference_series():
+    rng = random.Random(11)
+    for p in range(5):
+        for q in range(5):
+            for surd in (False, True):
+                f = _random_input(p, q, rng, surd)
+                assert any(c.surd for c in f.terms.values()) == surd
+                f0, g = _reference_series(f)
+                assert traceless_project(f) == f0
+                assert zw_cofactor(f) == g
+                shadow = numeric.n_traceless_project(numeric.from_exact(f), p, q)
+                diff = numeric.n_add(shadow, numeric.from_exact(f0), -1.0)
+                assert numeric.n_max_abs(diff) < 1e-12
 
 
 def test_h0_membership():

@@ -1,9 +1,16 @@
+import contextlib
 import io
 import json
 import sys
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwinger_su3 import cli
+from schwinger_su3.basis import traceless_project
 from schwinger_su3.poly import Polynomial, poly_from_records, poly_to_records
+from schwinger_su3.scalars import Qsqrt3
 
 
 def _run(capsys, *argv):
@@ -179,3 +186,94 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def test_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+def _run_stdin(text, *argv):
+    """Run the CLI in-process on ``text`` as stdin; returns (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_malformed_poly_records_exit_2():
+    for doc in (
+        [{"exps": [1, 0, 0, 1, 0, 0], "num": "1", "den": "0"}],
+        [{"exps": 5, "num": "1", "den": "1"}],
+        {"a": 1},
+    ):
+        for command in ("project", "map"):
+            code, out, err = _run_stdin(json.dumps(doc), command)
+            assert code == 2 and out == ""
+            assert err.startswith("error: bad polynomial JSON") and err.count("\n") == 1
+
+
+def test_unreadable_input_file_exits_2(capsys, tmp_path):
+    code, out, err = _run(capsys, "project", "--input", str(tmp_path / "missing.json"))
+    assert code == 2 and out == "" and err.startswith("error: cannot read")
+
+
+def test_verify_rejects_bad_sizes(capsys):
+    for argv in (
+        ("--max-pq", "-1", "--samples", "-3"),
+        ("--max-pq", "-1"),
+        ("--degree", "-1"),
+        ("--samples", "0"),
+        ("--numeric-samples", "0"),
+    ):
+        code, out, err = _run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+small_polys = st.dictionaries(
+    st.tuples(*([st.integers(0, 2)] * 6)),
+    st.builds(Qsqrt3, small_coeffs, small_coeffs | st.just(0)),
+    max_size=4,
+).map(Polynomial)
+record_fields = st.sampled_from(["exps", "num", "den", "surd_num", "surd_den"])
+
+
+@st.composite
+def wire_docs(draw):
+    """(polynomial, JSON document): a valid document for the polynomial, or
+    (None, a document) with one record field replaced or dropped, or any JSON
+    value at all."""
+    f = draw(small_polys)
+    recs = poly_to_records(f)
+    kind = draw(st.sampled_from(("valid", "mutated", "random")))
+    if kind == "valid":
+        return f, recs
+    if kind == "random" or not recs:
+        return None, draw(json_values)
+    rec = recs[draw(st.integers(0, len(recs) - 1))]
+    field = draw(record_fields)
+    if draw(st.booleans()):
+        rec[field] = draw(json_values)
+    else:
+        del rec[field]
+    return None, recs
+
+
+@settings(max_examples=200, deadline=None)
+@given(wire_docs(), st.sampled_from(("project", "map")))
+def test_project_and_map_never_crash(case, command):
+    f, doc = case
+    code, out, err = _run_stdin(json.dumps(doc), command)
+    assert "Traceback" not in err
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if f is not None and command == "project":
+        assert code == 0
+        want = Polynomial.zero()
+        for part in f.bidegree_split().values():
+            want = want + traceless_project(part)
+        assert poly_from_records(json.loads(out)) == want
