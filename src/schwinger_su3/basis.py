@@ -116,22 +116,19 @@ def _hw_raw_poly(p: int, q: int, r: int, s: int) -> Tuple[Polynomial, Fraction]:
     Returns (poly, clearing) where poly = clearing * v and v is the sum
     z1^r w2^s sum_n (-1)^n / ((r+s+n+1)! n! (p-r-n)! (q-s-n)!)
     (z1 w1 + z2 w2)^n z3^(p-r-n) w3^(q-s-n); the pairing in the sum is the
-    two-mode SU(2) scalar, not the full z.w.
+    two-mode SU(2) scalar, not the full z.w.  With cn_coeffs C_n, v's n-th
+    summand carries C_n / ((r+s+1)! (p-r)! (q-s)!), and poly scales the C_n
+    by the lcm L of their denominators.
     """
-    n_max = min(p - r, q - s)
-    dens = [
-        math.factorial(r + s + n + 1)
-        * math.factorial(n)
-        * math.factorial(p - r - n)
-        * math.factorial(q - s - n)
-        for n in range(n_max + 1)
-    ]
-    clearing = Fraction(math.lcm(*dens))
+    cn = cn_coeffs(p, q, r, s)
+    lcm = math.lcm(*(c.denominator for c in cn))
+    clearing = Fraction(
+        lcm * math.factorial(r + s + 1) * math.factorial(p - r) * math.factorial(q - s)
+    )
     total = Polynomial.zero()
     zw_pow = Polynomial.constant(1)
-    for n in range(n_max + 1):
-        coeff = Fraction((-1) ** n) * clearing / dens[n]
-        term = zw_pow.scale(coeff)
+    for n, c in enumerate(cn):
+        term = zw_pow.scale(c * lcm)
         term = term * Polynomial.monomial(
             (r, 0, p - r - n, 0, s, q - s - n)
         )

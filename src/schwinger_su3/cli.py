@@ -31,7 +31,7 @@ from .catalog import (
     k_of,
     weight_from_iy,
 )
-from .induced import equivalence_map
+from .induced import TraceConditionError, equivalence_map
 from .poly import Polynomial, PolyFormatError, poly_from_records, poly_to_records
 
 
@@ -49,6 +49,14 @@ def _parse_scaled(text: str, scale: int, what: str) -> int:
     if scaled.denominator != 1:
         raise CliError(f"{what}={text!r} is not an integer multiple of 1/{scale}")
     return int(scaled)
+
+
+def _irrep(args) -> IrrepLabel:
+    """The p, q arguments as an irrep label; a negative label is a usage error."""
+    try:
+        return IrrepLabel(args.p, args.q)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _fmt_fraction(num: int, den: int) -> str:
@@ -72,12 +80,12 @@ def _dump_json(obj) -> str:
 
 
 def cmd_dim(args) -> int:
-    print(dim(IrrepLabel(args.p, args.q)))
+    print(dim(_irrep(args)))
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    rep = IrrepLabel(args.p, args.q)
+    rep = _irrep(args)
     entries = sorted(iy_spectrum(rep), key=lambda e: (e.r, e.s))
     rows = [
         (rep.p, rep.q, e.r, e.s, e.I2, e.Y3,
@@ -96,6 +104,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_cg(args) -> int:
+    _irrep(args)  # negative labels exit 2
     series = cg_series(args.p, args.q)
     rows = [(args.p, args.q, rho, rep.p, rep.q, dim(rep))
             for rho, rep in enumerate(series)]
@@ -111,12 +120,12 @@ def cmd_cg(args) -> int:
 
 
 def cmd_mult(args) -> int:
-    print(induced_multiplicity(args.subgroup, IrrepLabel(args.p, args.q)))
+    print(induced_multiplicity(args.subgroup, _irrep(args)))
     return 0
 
 
 def cmd_state(args) -> int:
-    rep = IrrepLabel(args.p, args.q)
+    rep = _irrep(args)
     I2 = _parse_scaled(args.I, 2, "I")
     M2 = _parse_scaled(args.M, 2, "M")
     Y3 = _parse_scaled(args.Y, 3, "Y")
@@ -189,7 +198,7 @@ def cmd_map(args) -> int:
     f = _read_poly(args)
     try:
         sf = equivalence_map(f)
-    except ValueError as exc:
+    except TraceConditionError as exc:
         raise CliError(str(exc)) from None
     channels = []
     for (p, q), part in sorted(sf.poly.bidegree_split().items()):
@@ -348,9 +357,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .basis import h0_membership
-from .poly import Polynomial
+from .poly import Polynomial, monomial_norm_sq
 
 Channel = Tuple[int, int]
 
@@ -57,17 +57,9 @@ def sphere_monomial_integral(holo: Tuple[int, int, int], anti: Tuple[int, int, i
     return Fraction(num, math.factorial(total + 2))
 
 
-def _contraction_trace_free(f: Polynomial) -> bool:
-    """True iff every bihomogeneous part is killed by sum_j d^2/(dxi_j dxi*_j)."""
-    total = Polynomial.zero()
-    for j in range(1, 4):
-        total = total + f.mode_diff(j).mode_diff(j + 3)
-    return not total
-
-
 def make_sphere_function(poly: Polynomial) -> SphereFunction:
     """Wrap a polynomial in xi/xi* variables, detecting tracelessness exactly."""
-    return SphereFunction(poly=poly, traceless=_contraction_trace_free(poly))
+    return SphereFunction(poly=poly, traceless=h0_membership(poly))
 
 
 def _sqrt_exact(x: Fraction) -> Fraction:
@@ -127,10 +119,7 @@ def induced_inner_formula(phi: SphereFunction, psi: SphereFunction) -> Fraction:
             c2 = gq.terms.get(m)
             if c2 is None:
                 continue
-            w = 1
-            for e in m:
-                w *= math.factorial(e)
-            base += (c1 * c2).as_fraction() * Fraction(w, denom)
+            base += (c1 * c2).as_fraction() * Fraction(monomial_norm_sq(m), denom)
         if base:
             total += base * _sqrt_exact(phi.scale_sq(chan) * psi.scale_sq(chan))
     return total
@@ -143,7 +132,9 @@ def equivalence_map(f: Polynomial) -> SphereFunction:
     the exact squared scale (p+q+2)!.
     """
     if not h0_membership(f):
-        raise ValueError("equivalence map requires a trace-free (K- annihilated) input")
+        raise TraceConditionError(
+            "equivalence map requires a trace-free (K- annihilated) input"
+        )
     scales: Dict[Channel, Fraction] = {}
     for (p, q) in f.bidegree_split():
         scales[(p, q)] = Fraction(math.factorial(p + q + 2))

@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .poly import Monomial, Polynomial, monomials_of_bidegree, trace_free_terms
+from .poly import Monomial, Polynomial, monomial_norm_sq, monomials_of_bidegree, trace_free_terms
 
 NumericPolynomial = Dict[Monomial, complex]
 
@@ -67,10 +67,7 @@ def n_inner(f: NumericPolynomial, g: NumericPolynomial) -> complex:
     for m, c in f.items():
         d = g.get(m)
         if d is not None:
-            w = 1
-            for e in m:
-                w *= math.factorial(e)
-            total += np.conj(c) * d * w
+            total += np.conj(c) * d * monomial_norm_sq(m)
     return total
 
 
@@ -84,11 +81,6 @@ def act_bargmann(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
     """(U(A) f)(z, w) = f(A^-1 z, conj(A^-1) w)."""
     ainv = a.conj().T  # unitary inverse
     return _substitute(ainv, f)
-
-
-def act_sphere(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
-    """(D(A) psi)(xi) = psi(A^-1 xi); xi* slots pick up the conjugate matrix."""
-    return _substitute(a.conj().T, f)
 
 
 def _substitute(b: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:

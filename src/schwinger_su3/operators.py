@@ -1,10 +1,11 @@
 """Oscillator bilinears: su(3), sp(2,R) and SU(2)-ladder generators.
 
-Operators are formal complex linear combinations of words in the twelve
-symbols {multiply-by-variable-j, differentiate-in-j : j = 1..6}.  Words are
-reduced on demand to a normal-ordered canonical form z^alpha d^beta using
-[d_j, z_j] = 1, which makes operator equality decidable and application to
-monomials cheap.
+Operators are formal complex linear combinations of normal-ordered terms
+z^alpha d^beta (every multiplication left of every derivative), stored as the
+map (alpha, beta) -> coefficient.  That map is canonical, so operator equality
+is map equality; products are brought back to normal order as they are formed,
+by moving derivatives through multiplications with the multi-mode Leibniz
+rule, so no other representation is ever held.
 
 Applied to a real polynomial an operator yields a (real, imaginary) pair of
 polynomials; polynomial storage never leaves Q(sqrt 3).
@@ -12,8 +13,11 @@ polynomials; polynomial storage never leaves Q(sqrt 3).
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Tuple
 
 from .poly import Monomial, Polynomial, monomials_of_total_degree
 from .scalars import CScalar, Qsqrt3, INV_SQRT3
@@ -21,28 +25,25 @@ from .scalars import CScalar, Qsqrt3, INV_SQRT3
 MUL = 0
 DIFF = 1
 
-# a word is a tuple of (kind, mode) symbols, leftmost acting last
-Word = Tuple[Tuple[int, int], ...]
-# a normal-ordered term is z^alpha d^beta with six-exponent tuples alpha, beta
+# a normal-ordered term z^alpha d^beta with six-exponent tuples alpha, beta
 NormalKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 _ZEROS = (0, 0, 0, 0, 0, 0)
 
 
 class OperatorExpr:
-    """Formal linear combination of normal-orderable words with CScalar coefficients."""
+    """Normal-ordered map z^alpha d^beta -> nonzero CScalar coefficient."""
 
-    __slots__ = ("words", "_normal")
+    __slots__ = ("terms",)
 
-    def __init__(self, words: Dict[Word, CScalar] | None = None):
-        clean: Dict[Word, CScalar] = {}
-        if words:
-            for w, c in words.items():
+    def __init__(self, terms: Dict[NormalKey, CScalar] | None = None):
+        clean: Dict[NormalKey, CScalar] = {}
+        if terms:
+            for key, c in terms.items():
                 c = CScalar.coerce(c)
                 if c:
-                    clean[tuple(w)] = c
-        object.__setattr__(self, "words", clean)
-        object.__setattr__(self, "_normal", None)
+                    clean[key] = c
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorExpr is immutable")
@@ -55,87 +56,65 @@ class OperatorExpr:
 
     @staticmethod
     def identity(coeff=1) -> "OperatorExpr":
-        return OperatorExpr({(): CScalar.coerce(coeff)})
+        return OperatorExpr({(_ZEROS, _ZEROS): coeff})
 
     @staticmethod
     def word(symbols, coeff=1) -> "OperatorExpr":
-        return OperatorExpr({tuple(symbols): CScalar.coerce(coeff)})
+        """coeff times the product of (kind, mode) symbols; the leftmost acts last."""
+        out = OperatorExpr.identity(coeff)
+        for kind, mode in symbols:
+            key = (_unit(mode), _ZEROS) if kind == MUL else (_ZEROS, _unit(mode))
+            out = out.compose(OperatorExpr({key: 1}))
+        return out
 
     @staticmethod
     def bilinear(create: int, annihilate: int, coeff=1) -> "OperatorExpr":
         """coeff * z_create d_annihilate with 1-based mode indices."""
-        return OperatorExpr.word(
-            ((MUL, create - 1), (DIFF, annihilate - 1)), coeff
-        )
+        return OperatorExpr({(_unit(create - 1), _unit(annihilate - 1)): coeff})
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        out = dict(self.words)
-        for w, c in other.words.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accum(out, key, c)
         return OperatorExpr(out)
 
     def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr({w: -c for w, c in self.words.items()})
+        return OperatorExpr({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
         return self + (-other)
 
     def scale(self, coeff) -> "OperatorExpr":
         coeff = CScalar.coerce(coeff)
-        return OperatorExpr({w: coeff * c for w, c in self.words.items()})
+        return OperatorExpr({key: coeff * c for key, c in self.terms.items()})
 
     def compose(self, other: "OperatorExpr") -> "OperatorExpr":
-        """self applied after other (operator product self . other)."""
-        out: Dict[Word, CScalar] = {}
-        for w1, c1 in self.words.items():
-            for w2, c2 in other.words.items():
-                w = w1 + w2
+        """self applied after other (operator product self . other), normal ordered:
+        (z^a d^b)(z^g d^e) = sum over k <= min(b, g) of w_k z^(a+g-k) d^(b-k+e),
+        with the weights w_k of ``_contractions``."""
+        out: Dict[NormalKey, CScalar] = {}
+        for (a, b), c1 in self.terms.items():
+            for (g, e), c2 in other.terms.items():
                 c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                for k, w in _contractions(b, g):
+                    alpha = tuple(x + y - z for x, y, z in zip(a, g, k))
+                    beta = tuple(x - z + y for x, z, y in zip(b, k, e))
+                    _accum(out, (alpha, beta), c if w == 1 else c * w)
         return OperatorExpr(out)
 
     def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
         return self.compose(other) - other.compose(self)
 
-    # -- normal ordering -----------------------------------------------------
-
     def normal_form(self) -> Dict[NormalKey, CScalar]:
-        """Canonical form: all multiplications to the left of all derivatives."""
-        cached = self._normal
-        if cached is not None:
-            return cached
-        total: Dict[NormalKey, CScalar] = {}
-        for word, coeff in self.words.items():
-            for key, c in _normal_order_word(word).items():
-                v = coeff * c
-                s = total.get(key)
-                s = v if s is None else s + v
-                if s:
-                    total[key] = s
-                else:
-                    total.pop(key, None)
-        object.__setattr__(self, "_normal", total)
-        return total
-
-    def is_zero(self) -> bool:
-        return not self.normal_form()
+        """Canonical form, all multiplications left of all derivatives: the term map."""
+        return self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("OperatorExpr is unhashable (equality is semantic)")
@@ -175,10 +154,10 @@ class OperatorExpr:
         return re
 
     def __repr__(self) -> str:
-        return f"OperatorExpr({len(self.words)} words)"
+        return f"OperatorExpr({len(self.terms)} terms)"
 
 
-def _accum(d: Dict[Monomial, Qsqrt3], m: Monomial, v: Qsqrt3) -> None:
+def _accum(d: Dict, m, v) -> None:
     s = d.get(m)
     s = v if s is None else s + v
     if s:
@@ -187,36 +166,22 @@ def _accum(d: Dict[Monomial, Qsqrt3], m: Monomial, v: Qsqrt3) -> None:
         d.pop(m, None)
 
 
-_word_cache: Dict[Word, Dict[NormalKey, int]] = {}
+def _unit(mode: int) -> Tuple[int, ...]:
+    return tuple(int(j == mode) for j in range(6))
 
 
-def _normal_order_word(word: Word) -> Dict[NormalKey, int]:
-    """Normal order a single word; integer coefficients only arise here."""
-    cached = _word_cache.get(word)
-    if cached is not None:
-        return cached
-    # start from the identity and multiply symbols on the right:
-    # (z^a d^b) z_j = z^(a+ej) d^b + b_j z^a d^(b-ej);  (z^a d^b) d_j = z^a d^(b+ej)
-    terms: Dict[NormalKey, int] = {(_ZEROS, _ZEROS): 1}
-    for kind, mode in word:
-        nxt: Dict[NormalKey, int] = {}
-        for (alpha, beta), c in terms.items():
-            if kind == DIFF:
-                nb = beta[:mode] + (beta[mode] + 1,) + beta[mode + 1:]
-                key = (alpha, nb)
-                nxt[key] = nxt.get(key, 0) + c
-            else:
-                na = alpha[:mode] + (alpha[mode] + 1,) + alpha[mode + 1:]
-                key = (na, beta)
-                nxt[key] = nxt.get(key, 0) + c
-                b = beta[mode]
-                if b:
-                    nb = beta[:mode] + (b - 1,) + beta[mode + 1:]
-                    key = (alpha, nb)
-                    nxt[key] = nxt.get(key, 0) + c * b
-        terms = {k: v for k, v in nxt.items() if v}
-    _word_cache[word] = terms
-    return terms
+def _contractions(
+    b: Tuple[int, ...], g: Tuple[int, ...]
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Each k <= min(b, g) with its weight prod_j C(b_j, k_j) g_j!/(g_j - k_j)!:
+    the number of ways d^b, moved right through z^g, spends k_j derivatives
+    on each z_j^(g_j)."""
+    per_mode = [
+        [(k, math.comb(x, k) * math.perm(y, k)) for k in range(min(x, y) + 1)]
+        for x, y in zip(b, g)
+    ]
+    for choice in itertools.product(*per_mode):
+        yield tuple(k for k, _ in choice), math.prod(w for _, w in choice)
 
 
 # -- Gell-Mann data ------------------------------------------------------------
@@ -279,14 +244,10 @@ def _mat_trace(A) -> CScalar:
     return A[0][0] + A[1][1] + A[2][2]
 
 
-_GELL_MANN: GellMannTable | None = None
-
-
+@lru_cache(maxsize=None)
 def gell_mann() -> GellMannTable:
-    global _GELL_MANN
-    if _GELL_MANN is None:
-        _GELL_MANN = GellMannTable()
-    return _GELL_MANN
+    """The Gell-Mann table, built on first use and shared."""
+    return GellMannTable()
 
 
 # -- generators ------------------------------------------------------------------

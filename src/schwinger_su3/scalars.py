@@ -126,8 +126,6 @@ class Qsqrt3:
         return f"Qsqrt3({self.rat}, {self.surd})"
 
 
-ZERO = Qsqrt3(0)
-ONE = Qsqrt3(1)
 # 1/sqrt(3) = sqrt(3)/3
 INV_SQRT3 = Qsqrt3(0, Fraction(1, 3))
 
@@ -203,7 +201,3 @@ class CScalar:
     def __repr__(self) -> str:
         return f"CScalar({self.re!r}, {self.im!r})"
 
-
-C_ZERO = CScalar()
-C_ONE = CScalar(1)
-C_I = CScalar(0, 1)

@@ -4,6 +4,7 @@ import json
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,6 +225,30 @@ def test_verify_rejects_bad_sizes(capsys):
     ):
         code, out, err = _run(capsys, "verify", *argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_negative_irrep_labels_exit_2(capsys):
+    for argv in (
+        ("dim", "-1", "1"),
+        ("spectrum", "-1", "0"),
+        ("cg", "1", "-1"),
+        ("mult", "SU2", "-1", "0"),
+        ("state", "-1", "0", "--I", "0", "--M", "0", "--Y", "0", "--m", "2"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+
+def test_library_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # only validation failures map to exit 2; a library fault must surface
+    def broken(f):
+        raise ValueError("library fault")
+
+    monkeypatch.setattr(cli, "traceless_project", broken)
+    _feed_stdin(monkeypatch, Polynomial.variable(1))
+    with pytest.raises(ValueError, match="library fault"):
+        cli.main(["project", "--input", "-"])
 
 
 json_values = st.recursive(

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from schwinger_su3.operators import (
+    DIFF,
+    MUL,
     OperatorExpr,
     commutator_defect,
     gell_mann,
@@ -181,6 +183,43 @@ def test_operator_equality_is_semantic():
     )
     with pytest.raises(TypeError):
         hash(z1)
+
+
+def test_word_reorders_repeated_modes():
+    # d1 d1 z1 z1 = z1^2 d1^2 + 4 z1 d1 + 2, built symbol by symbol and as
+    # one product d1^2 . z1^2 that contracts two derivatives at once
+    z1, d1 = (MUL, 0), (DIFF, 0)
+    want = {
+        ((2, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)): CScalar(1),
+        ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)): CScalar(4),
+        ((0,) * 6, (0,) * 6): CScalar(2),
+    }
+    assert OperatorExpr.word((d1, d1, z1, z1)).normal_form() == want
+    product = OperatorExpr.word((d1, d1)).compose(OperatorExpr.word((z1, z1)))
+    assert product.normal_form() == want
+
+
+def test_compose_matches_successive_application():
+    rng = random.Random(2024)
+    ops = [
+        sp2r_generator("Kplus"),
+        sp2r_generator("Kminus"),
+        sp2r_generator("J0"),
+        su2_ladder("Jplus"),
+        su2_ladder("Jminus"),
+        su2_ladder("J3"),
+    ]
+    # words on two modes, so that a mode often carries exponent 2 or more
+    # on both sides of a product
+    for _ in range(12):
+        symbols = [(rng.choice((MUL, DIFF)), rng.choice((0, 3))) for _ in range(4)]
+        ops.append(OperatorExpr.word(symbols, rng.randint(1, 3)))
+    for x in ops:
+        for y in ops:
+            degree = rng.randint(2, 4)
+            p = rng.randint(0, degree)
+            f = _random_poly(rng, p, degree - p)
+            assert x.compose(y).apply_real(f) == x.apply_real(y.apply_real(f))
 
 
 def test_apply_real_rejects_imaginary_output():
