@@ -13,7 +13,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
 from .basis import (
     BasisKey,
     basis_state,
@@ -49,6 +48,13 @@ def _parse_scaled(text: str, scale: int, what: str) -> int:
     if scaled.denominator != 1:
         raise CliError(f"{what}={text!r} is not an integer multiple of 1/{scale}")
     return int(scaled)
+
+
+def _require_at_least(*checks) -> None:
+    """Each (flag, value, least) with value < least is a usage error."""
+    for flag, value, least in checks:
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}, got {value}")
 
 
 def _irrep(args) -> IrrepLabel:
@@ -217,6 +223,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _require_at_least(("--max-p", args.max_p, 0), ("--max-q", args.max_q, 0))
     pr, qr = range(args.max_p + 1), range(args.max_q + 1)
     if args.kind == "dims":
         header = ("p", "q", "dim", "k2")
@@ -253,15 +260,15 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag, value, least in (
+    _require_at_least(
         ("--max-pq", args.max_pq, 0),
-        ("--degree", args.degree, 0),
+        ("--degree", args.degree, 1),
         ("--samples", args.samples, 1),
         ("--numeric-samples", args.numeric_samples, 1),
-    ):
-        if value < least:
-            raise CliError(f"{flag} must be at least {least}, got {value}")
-    suites = verify_mod.run_all(
+    )
+    from . import verify  # the suites load only for this command
+
+    suites = verify.run_all(
         max_pq=args.max_pq,
         degree=args.degree,
         samples=args.samples,

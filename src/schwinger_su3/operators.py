@@ -32,7 +32,10 @@ _ZEROS = (0, 0, 0, 0, 0, 0)
 
 
 class OperatorExpr:
-    """Normal-ordered map z^alpha d^beta -> nonzero CScalar coefficient."""
+    """Normal-ordered map z^alpha d^beta -> nonzero CScalar coefficient.
+
+    ``terms`` is internal and never mutated; callers read the map through
+    ``normal_form()``, which returns a copy."""
 
     __slots__ = ("terms",)
 
@@ -108,8 +111,9 @@ class OperatorExpr:
         return self.compose(other) - other.compose(self)
 
     def normal_form(self) -> Dict[NormalKey, CScalar]:
-        """Canonical form, all multiplications left of all derivatives: the term map."""
-        return self.terms
+        """Canonical form, all multiplications left of all derivatives: a copy of
+        the term map."""
+        return dict(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorExpr):
@@ -125,7 +129,7 @@ class OperatorExpr:
         """Apply to a real polynomial; returns (real part, imaginary part)."""
         re: Dict[Monomial, Qsqrt3] = {}
         im: Dict[Monomial, Qsqrt3] = {}
-        for (alpha, beta), coeff in self.normal_form().items():
+        for (alpha, beta), coeff in self.terms.items():
             for m, c in f.terms.items():
                 fall = 1
                 ok = True

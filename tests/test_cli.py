@@ -1,14 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwinger_su3 import cli
+import schwinger_su3
+from schwinger_su3 import cli, verify
 from schwinger_su3.basis import traceless_project
 from schwinger_su3.poly import Polynomial, poly_from_records, poly_to_records
 from schwinger_su3.scalars import Qsqrt3
@@ -153,6 +158,13 @@ def test_table_dims(capsys):
     assert lines[-1] == "2,2,27,7"
 
 
+def test_table_rejects_negative_range(capsys):
+    for argv in (("dims", "--max-p", "-1"), ("cg", "--max-q", "-2")):
+        code, out, err = _run(capsys, "table", *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+
 def test_table_mult_u2_diagonal(capsys):
     code, out, _ = _run(
         capsys, "table", "mult", "--subgroup", "U2", "--max-p", "3", "--max-q", "3",
@@ -177,7 +189,7 @@ def test_verify_small(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.verify_mod, "run_all",
+        verify, "run_all",
         lambda **kwargs: [{"name": "stub", "passed": False}],
     )
     code, out, _ = _run(capsys, "verify")
@@ -220,11 +232,58 @@ def test_verify_rejects_bad_sizes(capsys):
         ("--max-pq", "-1", "--samples", "-3"),
         ("--max-pq", "-1"),
         ("--degree", "-1"),
+        ("--degree", "0"),
         ("--samples", "0"),
         ("--numeric-samples", "0"),
     ):
         code, out, err = _run(capsys, "verify", *argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+_STARTUP_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from schwinger_su3 import cli
+
+    def run(*argv, stdin=""):
+        sys.stdin = io.StringIO(stdin)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        loaded = [m for m in ("numpy", "schwinger_su3.numeric", "schwinger_su3.verify")
+                  if m in sys.modules]
+        return {"argv": list(argv), "code": code, "out": out.getvalue(),
+                "loaded": loaded}
+
+    small = ["--max-pq", "0", "--degree", "1", "--samples", "1"]
+    z1w1 = '[{"exps": [1, 0, 0, 1, 0, 0], "num": "1", "den": "1"}]'
+    print(json.dumps([
+        run("dim", "1", "1"),
+        run("cg", "1", "1"),
+        run("table", "dims"),
+        run("project", stdin=z1w1),
+        run("verify", *small),
+        run("verify", "--numeric", *small, "--numeric-samples", "1"),
+    ]))
+""")
+
+
+def test_startup_loads_numpy_and_verify_only_on_demand():
+    # a fresh interpreter: this one has numpy and the verify suites loaded already
+    src = str(Path(schwinger_su3.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *short, exact, numeric = json.loads(proc.stdout)
+    for run in short:
+        assert run["code"] == 0 and run["out"], run["argv"]
+        assert run["loaded"] == [], run["argv"]
+    assert exact["code"] == 0 and json.loads(exact["out"])["pass"] is True
+    assert exact["loaded"] == ["schwinger_su3.verify"]
+    assert numeric["code"] == 0 and json.loads(numeric["out"])["pass"] is True
+    assert "numeric_equivariance" in numeric["out"]
+    assert "numpy" in numeric["loaded"]
 
 
 def test_negative_irrep_labels_exit_2(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from schwinger_su3 import verify
 from schwinger_su3.operators import (
     DIFF,
     MUL,
@@ -125,6 +126,18 @@ def test_commutator_defect_detects_wrong_relation():
         commutator_defect(q1, q2, q3, -1)
 
 
+def test_closure_suites_fail_when_they_check_nothing():
+    # every bilinear kills the constants, so degree 0 sees no wrong relation
+    q1 = su3_generator(1, "total")
+    q2 = su3_generator(2, "total")
+    q3 = su3_generator(3, "total")
+    assert commutator_defect(q1, q2, q3.scale(CScalar(0, -1)), 0) == []
+    assert verify.suite_su3_closure(0)["passed"] is False
+    assert verify.suite_sp2r_relations(0)["passed"] is False
+    assert verify.suite_mutual_commutant(0)["passed"] is False
+    assert verify.suite_su3_closure(1)["passed"] is True
+
+
 def _random_poly(rng, p, q):
     terms = {}
     for m in monomials_of_bidegree(p, q):
@@ -197,6 +210,18 @@ def test_word_reorders_repeated_modes():
     assert OperatorExpr.word((d1, d1, z1, z1)).normal_form() == want
     product = OperatorExpr.word((d1, d1)).compose(OperatorExpr.word((z1, z1)))
     assert product.normal_form() == want
+
+
+def test_normal_form_is_a_copy():
+    op = su3_generator(1)
+    f = _random_poly(random.Random(7), 2, 1)
+    before = op.apply_real(f)
+    form = op.normal_form()
+    for key in form:
+        form[key] = CScalar(5)
+    form[((0,) * 6, (0,) * 6)] = CScalar(1)
+    assert op.normal_form() != form
+    assert op.apply_real(f) == before
 
 
 def test_compose_matches_successive_application():
