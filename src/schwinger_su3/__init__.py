@@ -30,14 +30,12 @@ from .operators import (
 from .catalog import (
     InvalidWeightError,
     IrrepLabel,
-    SpectrumEntry,
     WeightLabel,
     cg_series,
     dim,
     induced_multiplicity,
     iy_spectrum,
     k_of,
-    weight_conversion,
     weight_from_iy,
     weight_from_rs,
 )

@@ -10,12 +10,12 @@ inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, List, Tuple
 
-from .catalog import IrrepLabel, WeightLabel, k_of, weight_from_iy
+from .catalog import IrrepLabel, WeightLabel, iy_spectrum, k_of, weight_from_iy
 from .poly import (
     Polynomial,
     bargmann_inner,
@@ -110,6 +110,18 @@ def hw_norm_constant_sq(p: int, q: int, r: int, s: int) -> Fraction:
     )
 
 
+def _hw_clearing(p: int, q: int, r: int, s: int) -> Tuple[List[Fraction], Fraction]:
+    """The cn_coeffs C_n scaled by the lcm L of their denominators, and the
+    clearing factor L (r+s+1)! (p-r)! (q-s)! of the highest-weight polynomial
+    (see _hw_raw_poly)."""
+    cn = cn_coeffs(p, q, r, s)
+    lcm = math.lcm(*(c.denominator for c in cn))
+    clearing = Fraction(
+        lcm * math.factorial(r + s + 1) * math.factorial(p - r) * math.factorial(q - s)
+    )
+    return [c * lcm for c in cn], clearing
+
+
 def _hw_raw_poly(p: int, q: int, r: int, s: int) -> Tuple[Polynomial, Fraction]:
     """Unnormalized highest-weight polynomial with integer coefficients.
 
@@ -120,15 +132,11 @@ def _hw_raw_poly(p: int, q: int, r: int, s: int) -> Tuple[Polynomial, Fraction]:
     summand carries C_n / ((r+s+1)! (p-r)! (q-s)!), and poly scales the C_n
     by the lcm L of their denominators.
     """
-    cn = cn_coeffs(p, q, r, s)
-    lcm = math.lcm(*(c.denominator for c in cn))
-    clearing = Fraction(
-        lcm * math.factorial(r + s + 1) * math.factorial(p - r) * math.factorial(q - s)
-    )
+    cleared, clearing = _hw_clearing(p, q, r, s)
     total = Polynomial.zero()
     zw_pow = Polynomial.constant(1)
-    for n, c in enumerate(cn):
-        term = zw_pow.scale(c * lcm)
+    for n, c in enumerate(cleared):
+        term = zw_pow.scale(c)
         term = term * Polynomial.monomial(
             (r, 0, p - r - n, 0, s, q - s - n)
         )
@@ -139,7 +147,7 @@ def _hw_raw_poly(p: int, q: int, r: int, s: int) -> Tuple[Polynomial, Fraction]:
 
 def predicted_hw_norm_sq(p: int, q: int, r: int, s: int) -> Fraction:
     """Squared norm the closed-form constants assign to the cleared polynomial."""
-    _, clearing = _hw_raw_poly(p, q, r, s)
+    _, clearing = _hw_clearing(p, q, r, s)
     n2 = hw_norm_constant_sq(p, q, r, s)
     rs_fact = Fraction(math.factorial(r) * math.factorial(s))
     # poly = clearing * v, v = r! s! * (closed-form summand); ||summand|| = 1/N
@@ -198,8 +206,7 @@ def su2_lower(state: NormalizedState, M2_target: int) -> NormalizedState:
     for _ in range(steps):
         poly = _JMINUS.apply_real(poly)
     norm_sq = bargmann_inner(poly, poly).as_fraction()
-    new_weight = WeightLabel(I2=w.I2, M2=M2_target, Y3=w.Y3, r=w.r, s=w.s)
-    key = BasisKey(rep=state.key.rep, weight=new_weight, m2=state.key.m2)
+    key = BasisKey(rep=state.key.rep, weight=replace(w, M2=M2_target), m2=state.key.m2)
     return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
 
 
@@ -230,17 +237,11 @@ def enumerate_basis_keys(max_pq: int, extra_m_levels: int = 2) -> Iterator[Basis
         for q in range(max_pq + 1 - p):
             rep = IrrepLabel(p, q)
             k2 = k_of(rep)
-            for r in range(p + 1):
-                for s in range(q + 1):
-                    I2 = r + s
-                    Y3 = 3 * (r - s) + 2 * (q - p)
-                    for M2 in range(-I2, I2 + 1, 2):
-                        for level in range(extra_m_levels + 1):
-                            yield BasisKey(
-                                rep=rep,
-                                weight=WeightLabel(I2=I2, M2=M2, Y3=Y3, r=r, s=s),
-                                m2=k2 + 2 * level,
-                            )
+            for top in iy_spectrum(rep):
+                for M2 in range(-top.I2, top.I2 + 1, 2):
+                    weight = replace(top, M2=M2)
+                    for level in range(extra_m_levels + 1):
+                        yield BasisKey(rep=rep, weight=weight, m2=k2 + 2 * level)
 
 
 # -- trace removal --------------------------------------------------------------

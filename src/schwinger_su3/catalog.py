@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List
 
 
 class InvalidWeightError(ValueError):
@@ -51,16 +51,9 @@ class WeightLabel:
     def Y(self) -> Fraction:
         return Fraction(self.Y3, 3)
 
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    I2: int
-    Y3: int
-    r: int
-    s: int
-
     @property
     def size(self) -> int:
+        """Number of M states in the multiplet, 2I + 1."""
         return self.I2 + 1
 
 
@@ -70,20 +63,11 @@ def dim(rep: IrrepLabel) -> int:
     return (p + 1) * (q + 1) * (p + q + 2) // 2
 
 
-def iy_spectrum(rep: IrrepLabel) -> List[SpectrumEntry]:
-    """One I-Y multiplet per (r, s) with 0 <= r <= p, 0 <= s <= q."""
-    out = []
-    for r in range(rep.p + 1):
-        for s in range(rep.q + 1):
-            out.append(
-                SpectrumEntry(
-                    I2=r + s,
-                    Y3=3 * (r - s) + 2 * (rep.q - rep.p),
-                    r=r,
-                    s=s,
-                )
-            )
-    return out
+def iy_spectrum(rep: IrrepLabel) -> List[WeightLabel]:
+    """One I-Y multiplet per (r, s) with 0 <= r <= p, 0 <= s <= q, in (r, s)
+    order; each is labelled by its M = I weight."""
+    return [weight_from_rs(rep, r, s)
+            for r in range(rep.p + 1) for s in range(rep.q + 1)]
 
 
 def cg_series(p: int, q: int) -> List[IrrepLabel]:
@@ -138,12 +122,3 @@ def weight_from_iy(rep: IrrepLabel, I2: int, Y3: int, M2: int | None = None) -> 
         raise InvalidWeightError(f"(I2,Y3)=({I2},{Y3}) not integral for ({p},{q})")
     return weight_from_rs(rep, r6 // 6, s6 // 6, M2=M2)
 
-
-def weight_conversion(rep: IrrepLabel, *, rs: Tuple[int, int] | None = None,
-                      iy: Tuple[int, int] | None = None) -> WeightLabel:
-    """Bijection between (r, s) and (I2, Y3) descriptions of a multiplet."""
-    if (rs is None) == (iy is None):
-        raise ValueError("pass exactly one of rs=(r,s) or iy=(I2,Y3)")
-    if rs is not None:
-        return weight_from_rs(rep, *rs)
-    return weight_from_iy(rep, *iy)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -70,16 +69,53 @@ def _fmt_fraction(num: int, den: int) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _emit_csv(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# -- table rows: built once per kind, shared by the one-irrep commands --------
+
+# the columns each table kind prints; `spectrum` adds the I and Y fractions
+_COLUMNS = {
+    "dims": ("p", "q", "dim", "k2"),
+    "spectra": ("p", "q", "r", "s", "I2", "Y3", "size"),
+    "cg": ("p", "q", "rho", "p_out", "q_out", "dim"),
+    "mult": ("subgroup", "p", "q", "mult"),
+}
+_SPECTRUM_COLUMNS = ("p", "q", "r", "s", "I2", "Y3", "I", "Y", "size")
+
+
+def _rows(kind: str, rep: IrrepLabel, subgroup: str | None = None) -> list:
+    """The rows of one irrep in a table of the given kind, as dicts by column."""
+    p, q = rep.p, rep.q
+    if kind == "dims":
+        return [{"p": p, "q": q, "dim": dim(rep), "k2": k_of(rep)}]
+    if kind == "spectra":
+        return [
+            {"p": p, "q": q, "r": w.r, "s": w.s, "I2": w.I2, "Y3": w.Y3,
+             "I": _fmt_fraction(w.I2, 2), "Y": _fmt_fraction(w.Y3, 3), "size": w.size}
+            for w in iy_spectrum(rep)
+        ]
+    if kind == "cg":
+        return [
+            {"p": p, "q": q, "rho": rho, "p_out": out.p, "q_out": out.q, "dim": dim(out)}
+            for rho, out in enumerate(cg_series(p, q))
+        ]
+    if kind == "mult":
+        return [{"subgroup": subgroup, "p": p, "q": q,
+                 "mult": induced_multiplicity(subgroup, rep)}]
+    raise CliError(f"unknown table kind {kind!r}")  # unreachable through argparse
+
+
+def _write_rows(fmt: str, columns, rows) -> None:
+    """Print the given columns of rows as one compact JSON list or as CSV."""
+    picked = [[row[c] for c in columns] for row in rows]
+    if fmt == "json":
+        print(_dump_json([dict(zip(columns, r)) for r in picked]))
+    else:
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(picked)
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -91,37 +127,22 @@ def cmd_dim(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    rep = _irrep(args)
-    entries = sorted(iy_spectrum(rep), key=lambda e: (e.r, e.s))
-    rows = [
-        (rep.p, rep.q, e.r, e.s, e.I2, e.Y3,
-         _fmt_fraction(e.I2, 2), _fmt_fraction(e.Y3, 3), e.size)
-        for e in entries
-    ]
-    header = ("p", "q", "r", "s", "I2", "Y3", "I", "Y", "size")
-    if args.format == "json":
-        print(_dump_json([dict(zip(header, r)) for r in rows]))
-    elif args.format == "csv":
-        sys.stdout.write(_emit_csv(header, rows))
-    else:
+    rows = _rows("spectra", _irrep(args))
+    if args.format == "text":
         for r in rows:
-            print(f"(r={r[2]}, s={r[3]}): I={r[6]}, Y={r[7]}, size {r[8]}")
+            print(f"(r={r['r']}, s={r['s']}): I={r['I']}, Y={r['Y']}, size {r['size']}")
+    else:
+        _write_rows(args.format, _SPECTRUM_COLUMNS, rows)
     return 0
 
 
 def cmd_cg(args) -> int:
-    _irrep(args)  # negative labels exit 2
-    series = cg_series(args.p, args.q)
-    rows = [(args.p, args.q, rho, rep.p, rep.q, dim(rep))
-            for rho, rep in enumerate(series)]
-    header = ("p", "q", "rho", "p_out", "q_out", "dim")
-    if args.format == "json":
-        print(_dump_json([dict(zip(header, r)) for r in rows]))
-    elif args.format == "csv":
-        sys.stdout.write(_emit_csv(header, rows))
-    else:
-        terms = " + ".join(f"({r[3]},{r[4]})" for r in rows)
+    rows = _rows("cg", _irrep(args))
+    if args.format == "text":
+        terms = " + ".join(f"({r['p_out']},{r['q_out']})" for r in rows)
         print(f"({args.p},0) x (0,{args.q}) = {terms}")
+    else:
+        _write_rows(args.format, _COLUMNS["cg"], rows)
     return 0
 
 
@@ -224,38 +245,9 @@ def cmd_map(args) -> int:
 
 def cmd_table(args) -> int:
     _require_at_least(("--max-p", args.max_p, 0), ("--max-q", args.max_q, 0))
-    pr, qr = range(args.max_p + 1), range(args.max_q + 1)
-    if args.kind == "dims":
-        header = ("p", "q", "dim", "k2")
-        rows = [(p, q, dim(IrrepLabel(p, q)), k_of(IrrepLabel(p, q)))
-                for p in pr for q in qr]
-    elif args.kind == "spectra":
-        header = ("p", "q", "r", "s", "I2", "Y3", "size")
-        rows = [
-            (p, q, e.r, e.s, e.I2, e.Y3, e.size)
-            for p in pr for q in qr
-            for e in sorted(iy_spectrum(IrrepLabel(p, q)), key=lambda e: (e.r, e.s))
-        ]
-    elif args.kind == "cg":
-        header = ("p", "q", "rho", "p_out", "q_out", "dim")
-        rows = [
-            (p, q, rho, rep.p, rep.q, dim(rep))
-            for p in pr for q in qr
-            for rho, rep in enumerate(cg_series(p, q))
-        ]
-    elif args.kind == "mult":
-        header = ("subgroup", "p", "q", "mult")
-        rows = [
-            (args.subgroup, p, q,
-             induced_multiplicity(args.subgroup, IrrepLabel(p, q)))
-            for p in pr for q in qr
-        ]
-    else:  # unreachable through argparse choices
-        raise CliError(f"unknown table kind {args.kind!r}")
-    if args.format == "json":
-        print(_dump_json([dict(zip(header, r)) for r in rows]))
-    else:
-        sys.stdout.write(_emit_csv(header, rows))
+    rows = [row for p in range(args.max_p + 1) for q in range(args.max_q + 1)
+            for row in _rows(args.kind, IrrepLabel(p, q), args.subgroup)]
+    _write_rows(args.format, _COLUMNS[args.kind], rows)
     return 0
 
 
@@ -265,6 +257,7 @@ def cmd_verify(args) -> int:
         ("--degree", args.degree, 1),
         ("--samples", args.samples, 1),
         ("--numeric-samples", args.numeric_samples, 1),
+        ("--seed", args.seed, 0),
     )
     from . import verify  # the suites load only for this command
 

@@ -143,29 +143,7 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    # -- Bargmann calculus ---------------------------------------------------
-
-    def mode_mul(self, j: int) -> "Polynomial":
-        """Multiply by variable j (creation operator a^dag_j -> z_j)."""
-        if not 1 <= j <= NVARS:
-            raise ValueError(f"mode index {j} out of range 1..6")
-        i = j - 1
-        out = {}
-        for m, c in self.terms.items():
-            out[m[:i] + (m[i] + 1,) + m[i + 1:]] = c
-        return Polynomial._of(out)
-
-    def mode_diff(self, j: int) -> "Polynomial":
-        """Formal partial derivative in variable j (annihilation operator)."""
-        if not 1 <= j <= NVARS:
-            raise ValueError(f"mode index {j} out of range 1..6")
-        i = j - 1
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
-        return Polynomial._of(out)
+    # -- bidegree grading ----------------------------------------------------
 
     def bidegree(self) -> Tuple[int, int] | None:
         """(z-degree, w-degree) if bihomogeneous, else None.  Zero -> None."""

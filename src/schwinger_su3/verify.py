@@ -199,19 +199,14 @@ def suite_casimir(max_pq: int = 5, extra_m_levels: int = 2,
     for st in states:
         if not sp2r_casimir_check(st):
             failures += 1
-        k2 = k_of(st.key.rep)
-        rho = (st.key.m2 - k2) // 2
+        rho = (st.key.m2 - k_of(st.key.rep)) // 2
         # K+^rho K-^rho eigenvalue (m-k)! (m+k-1)! / (2k-1)!
         f = st.poly
         for _ in range(rho):
             f = _KMINUS.apply_real(f)
         for _ in range(rho):
             f = _KPLUS.apply_real(f)
-        eig = Fraction(
-            math.factorial(rho) * math.factorial(rho + k2 - 1),
-            math.factorial(k2 - 1),
-        )
-        if f != st.poly.scale(eig):
+        if f != st.poly.scale(raise_norm_ratio(st.key.rep, st.key.m2)):
             failures += 1
     return {"name": "casimir", "passed": failures == 0, "failures": failures,
             "max_pq": max_pq}

@@ -11,7 +11,6 @@ from schwinger_su3.catalog import (
     induced_multiplicity,
     iy_spectrum,
     k_of,
-    weight_conversion,
     weight_from_iy,
     weight_from_rs,
 )
@@ -99,16 +98,12 @@ def test_induced_multiplicities():
 
 
 def test_weight_conversion_examples():
-    w = weight_conversion(IrrepLabel(1, 0), rs=(1, 0))
+    w = weight_from_rs(IrrepLabel(1, 0), 1, 0)
     assert (w.I, w.Y) == (Fraction(1, 2), Fraction(1, 3))
-    w = weight_conversion(IrrepLabel(1, 1), iy=(2, 0))  # I = 1, Y = 0
+    w = weight_from_iy(IrrepLabel(1, 1), 2, 0)  # I = 1, Y = 0
     assert (w.r, w.s) == (1, 1)
     with pytest.raises(InvalidWeightError):
-        weight_conversion(IrrepLabel(1, 0), iy=(2, 0))  # I = 1 absent from (1,0)
-    with pytest.raises(ValueError):
-        weight_conversion(IrrepLabel(1, 0))
-    with pytest.raises(ValueError):
-        weight_conversion(IrrepLabel(1, 0), rs=(1, 0), iy=(1, 1))
+        weight_from_iy(IrrepLabel(1, 0), 2, 0)  # I = 1 absent from (1,0)
 
 
 def test_weight_conversion_round_trip():

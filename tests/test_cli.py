@@ -53,6 +53,30 @@ def test_cg_text(capsys):
     assert "(1,1) + (0,0)" in out
 
 
+def _csv_rows(capsys, *argv):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_single_irrep_commands_match_tables(capsys):
+    """`spectrum p q` and `cg p q` print the (p, q) rows of the default tables."""
+    tables = {kind: _csv_rows(capsys, "table", kind, "--format", "csv")
+              for kind in ("spectra", "cg")}
+    for p in range(4):
+        for q in range(4):
+            def table_rows(kind):
+                return [r for r in tables[kind] if (r["p"], r["q"]) == (str(p), str(q))]
+
+            spectrum = _csv_rows(capsys, "spectrum", str(p), str(q), "--format", "csv")
+            for row in spectrum:
+                del row["I"], row["Y"]
+            assert spectrum and spectrum == table_rows("spectra")
+            cg = _csv_rows(capsys, "cg", str(p), str(q), "--format", "csv")
+            assert cg and cg == table_rows("cg")
+
+
 def test_mult(capsys):
     code, out, _ = _run(capsys, "mult", "U2", "2", "2")
     assert code == 0 and out.strip() == "1"
@@ -235,6 +259,7 @@ def test_verify_rejects_bad_sizes(capsys):
         ("--degree", "0"),
         ("--samples", "0"),
         ("--numeric-samples", "0"),
+        ("--seed", "-1"),
     ):
         code, out, err = _run(capsys, "verify", *argv)
         assert code == 2 and out == "" and err.startswith("error:")
