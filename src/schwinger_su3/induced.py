@@ -74,17 +74,19 @@ def sphere_inner_direct(phi: SphereFunction, psi: SphereFunction) -> Fraction:
     """(phi, psi) by termwise exact integration of conj(phi) * psi.
 
     Conjugation swaps the holomorphic and antiholomorphic exponent triples.
+    The moment of a term pair vanishes unless both terms carry the same
+    U(1)^3 charge a - b, so each term of phi visits only the terms of psi
+    with its own charge.
     """
     total = Fraction(0)
     phi_parts = phi.poly.bidegree_split()
-    psi_parts = psi.poly.bidegree_split()
+    psi_buckets = {cq: _charge_buckets(gq) for cq, gq in psi.poly.bidegree_split().items()}
     for cp, fp in phi_parts.items():
-        for cq, gq in psi_parts.items():
+        for cq, buckets in psi_buckets.items():
             base = Fraction(0)
             for m1, c1 in fp.terms.items():
                 a1, b1 = m1[:3], m1[3:]
-                for m2, c2 in gq.terms.items():
-                    a2, b2 = m2[:3], m2[3:]
+                for a2, b2, c2 in buckets.get(_charge(m1), ()):
                     # conj(phi) term xi^b1 xi*^a1 times psi term xi^a2 xi*^b2
                     holo = tuple(x + y for x, y in zip(b1, a2))
                     anti = tuple(x + y for x, y in zip(a1, b2))
@@ -94,6 +96,19 @@ def sphere_inner_direct(phi: SphereFunction, psi: SphereFunction) -> Fraction:
             if base:
                 total += base * _sqrt_exact(phi.scale_sq(cp) * psi.scale_sq(cq))
     return total
+
+
+def _charge(m: Tuple[int, ...]) -> Tuple[int, int, int]:
+    """U(1)^3 charge a - b of the term xi^a conj(xi)^b."""
+    return (m[0] - m[3], m[1] - m[4], m[2] - m[5])
+
+
+def _charge_buckets(f: Polynomial) -> Dict[Tuple[int, int, int], list]:
+    """The terms of f as (a, b, coefficient), grouped by charge."""
+    buckets: Dict[Tuple[int, int, int], list] = {}
+    for m, c in f.terms.items():
+        buckets.setdefault(_charge(m), []).append((m[:3], m[3:], c))
+    return buckets
 
 
 def induced_inner_formula(phi: SphereFunction, psi: SphereFunction) -> Fraction:

@@ -2,15 +2,16 @@
 
 Exact arithmetic cannot reach generic group elements (irrational entries), so
 equivariance and invariance of the construction under finite SU(3) rotations
-is checked here in double precision: Haar-random sampling, point-transformation
-action, the tensor transformation rule, and a float shadow of the traceless
-projector.
+is checked here in double precision: Haar-random sampling, the point action
+as one matrix U(A) per bidegree (group_matrix), the tensor transformation rule
+as an independent route, and a float shadow of the traceless projector.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -78,47 +79,75 @@ def n_traceless_project(f: NumericPolynomial, p: int, q: int) -> NumericPolynomi
 
 
 def act_bargmann(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
-    """(U(A) f)(z, w) = f(A^-1 z, conj(A^-1) w)."""
-    ainv = a.conj().T  # unitary inverse
-    return _substitute(ainv, f)
-
-
-def _substitute(b: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
-    """Substitute z_j -> sum_l b[j,l] z_l and w_j -> sum_l conj(b)[j,l] w_l."""
-    bc = b.conj()
-    out: NumericPolynomial = {}
-    for m, coeff in f.items():
-        # expand the product of linear forms, one exponent at a time
-        partial: NumericPolynomial = {(0, 0, 0, 0, 0, 0): coeff}
-        for j in range(3):
-            for _ in range(m[j]):
-                partial = _mul_linear(partial, b[j], offset=0)
-            for _ in range(m[j + 3]):
-                partial = _mul_linear(partial, bc[j], offset=3)
-        for t, c in partial.items():
-            out[t] = out.get(t, 0.0) + c
-    return {m: c for m, c in out.items() if c != 0.0}
-
-
-def _mul_linear(f: NumericPolynomial, row: np.ndarray, offset: int) -> NumericPolynomial:
-    out: NumericPolynomial = {}
+    """(U(A) f)(z, w) = f(A^-1 z, conj(A^-1) w), one group matrix per bidegree of f."""
+    parts: Dict[Tuple[int, int], NumericPolynomial] = {}
     for m, c in f.items():
-        for l in range(3):
-            cl = row[l]
-            if cl == 0:
-                continue
-            t = list(m)
-            t[offset + l] += 1
-            t = tuple(t)
-            out[t] = out.get(t, 0.0) + c * cl
+        parts.setdefault((m[0] + m[1] + m[2], m[3] + m[4] + m[5]), {})[m] = c
+    out: NumericPolynomial = {}
+    for (p, q), part in parts.items():
+        monos, index = _bidegree_basis(p, q)
+        vec = np.zeros(len(monos), dtype=complex)
+        for m, c in part.items():
+            vec[index[m]] = c
+        for m, c in zip(monos, (group_matrix(a, p, q) @ vec).tolist()):
+            if c != 0.0:
+                out[m] = c
     return out
+
+
+def group_matrix(a: np.ndarray, p: int, q: int) -> np.ndarray:
+    """U(A) on bidegree (p, q) in the order of monomials_of_bidegree(p, q).
+
+    Column j is the image of monomial j under z -> B z, w -> conj(B) w with
+    B = A^-1 = A^dagger, so U(A) = Sym^p(B) kron Sym^q(conj B).
+    """
+    b = a.conj().T  # unitary inverse
+    return np.kron(_sym_power(b, p), _sym_power(b.conj(), q))
+
+
+def _sym_power(b: np.ndarray, p: int) -> np.ndarray:
+    """Sym^p(B) = S (B^(x)p)[reps].T on the degree-p monomials in three variables.
+
+    Row reps[k] of the p-fold Kronecker power expands the product of the
+    linear forms of monomial k over all 3^p index tuples, and S sums each
+    tuple onto its monomial. Only those rows are built, one slot at a time.
+    """
+    fold, reps = _sym_layout(p)
+    rows = np.ones((len(reps), 1), dtype=complex)
+    for slot in range(p):
+        rows = (rows[:, :, None] * b[reps[:, slot]][:, None, :]).reshape(len(reps), -1)
+    return fold @ rows.T
+
+
+@lru_cache(maxsize=None)
+def _sym_layout(p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(S, reps) for degree p. S[k, t] = 1 when index tuple t (base-3 digits,
+    first slot most significant) has the exponents of monomial k; reps[k] is
+    one such tuple. Any one will do: the product of linear forms does not
+    depend on the order of its factors."""
+    row = {m[:3]: k for k, m in enumerate(monomials_of_bidegree(p, 0))}
+    fold = np.zeros((len(row), 3 ** p))
+    reps = np.zeros((len(row), p), dtype=np.intp)
+    for t, idx in enumerate(itertools.product(range(3), repeat=p)):
+        k = row[(idx.count(0), idx.count(1), idx.count(2))]
+        fold[k, t] = 1.0
+        reps[k] = idx
+    fold.flags.writeable = reps.flags.writeable = False  # shared by every caller
+    return fold, reps
+
+
+@lru_cache(maxsize=None)
+def _bidegree_basis(p: int, q: int) -> Tuple[Tuple[Monomial, ...], Dict[Monomial, int]]:
+    """The monomials of bidegree (p, q) in order, and the position of each."""
+    monos = tuple(monomials_of_bidegree(p, q))
+    return monos, {m: k for k, m in enumerate(monos)}
 
 
 def tensor_transform(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
     """Transform bidegree-(p,q) coefficients by the p-fold A, q-fold conj(A) rule.
 
     Implemented through the dense symmetric tensor (with multinomial weights),
-    independently of act_bargmann, so the two can be played against each other.
+    independently of group_matrix, so the two can be played against each other.
     """
     p, q = _bidegree(f)
     if p + q == 0:
@@ -181,14 +210,22 @@ def _index_tuples(m: Monomial):
 
 
 def equivariance_defect(a: np.ndarray, bidegree: Tuple[int, int]) -> float:
-    """Max coefficient mismatch of project(U(A) f) vs U(A)(project f) over a
-    spanning monomial set of the given bidegree."""
+    """max |P U(A) - U(A) P| on bidegree (p, q), P the float trace-removal
+    projector: column j compares project(U(A) e_j) with U(A) project(e_j) for
+    monomial e_j of the bidegree."""
     p, q = bidegree
-    worst = 0.0
-    for m in monomials_of_bidegree(p, q):
-        f: NumericPolynomial = {m: 1.0}
-        lhs = n_traceless_project(act_bargmann(a, f), p, q)
-        rhs = act_bargmann(a, n_traceless_project(f, p, q))
-        diff = n_add(lhs, rhs, -1.0)
-        worst = max(worst, n_max_abs(diff))
-    return worst
+    proj = _projector_matrix(p, q)
+    u = group_matrix(a, p, q)
+    return float(np.max(np.abs(proj @ u - u @ proj)))
+
+
+@lru_cache(maxsize=None)
+def _projector_matrix(p: int, q: int) -> np.ndarray:
+    """Float matrix of the trace-removal projector on bidegree (p, q)."""
+    monos, index = _bidegree_basis(p, q)
+    proj = np.zeros((len(monos), len(monos)))
+    for j, m in enumerate(monos):
+        for t, c in n_traceless_project({m: 1}, p, q).items():
+            proj[index[t], j] = c
+    proj.flags.writeable = False  # shared by every caller
+    return proj

@@ -382,7 +382,8 @@ def suite_cn_dual_route(max_pq: int = 8) -> Dict:
 def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
                                proj_tol: float = 1e-10, rep_tol: float = 1e-9) -> Dict:
     """Projection/action commutation at bidegree (2,2) and the representation
-    property on degree <= (3,3), over seeded Haar samples."""
+    property on degree <= (3,3), over seeded Haar samples. U(A) acts as one
+    matrix per bidegree (numeric.group_matrix)."""
     from . import numeric  # numpy loads only for this suite
 
     max_proj = 0.0

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from schwinger_su3 import numeric
+from schwinger_su3 import numeric, verify
 from schwinger_su3.basis import traceless_project
 from schwinger_su3.poly import (
     Polynomial,
     bargmann_inner,
     kminus_terms,
+    monomial_norm_sq,
     monomials_of_bidegree,
 )
+
+BIDEGREES = [(p, q) for p in range(4) for q in range(4)]
 
 
 def test_haar_sampler_is_deterministic():
@@ -157,3 +160,73 @@ def test_inner_product_shadow_matches_exact():
     got = numeric.n_inner(numeric.from_exact(f), numeric.from_exact(f))
     assert abs(got - exact) < 1e-12
     assert len(list(monomials_of_bidegree(2, 1))) == 18
+
+
+def test_group_matrix_matches_tensor_transform():
+    # the tensor rule with A is the point action with conj(A) (see above)
+    for seed in range(2):
+        a = numeric.haar_random_su3(seed)
+        for p, q in BIDEGREES:
+            u = numeric.group_matrix(a.conj(), p, q)
+            monos = list(monomials_of_bidegree(p, q))
+            for j, m in enumerate(monos):
+                moved = numeric.tensor_transform(a, {m: 1.0 + 0j})
+                col = np.array([moved.get(t, 0.0) for t in monos])
+                assert np.max(np.abs(col - u[:, j])) < 1e-12
+
+
+def test_group_matrix_representation_on_all_monomials():
+    for seed in range(10):
+        a = numeric.haar_random_su3(seed)
+        b = numeric.haar_random_su3(1000 + seed)
+        for p, q in BIDEGREES:
+            lhs = numeric.group_matrix(a, p, q) @ numeric.group_matrix(b, p, q)
+            assert np.max(np.abs(lhs - numeric.group_matrix(a @ b, p, q))) <= 1e-9
+
+
+def test_group_matrix_is_unitary_for_bargmann_weights():
+    for seed in range(5):
+        a = numeric.haar_random_su3(seed)
+        for p, q in BIDEGREES:
+            u = numeric.group_matrix(a, p, q)
+            w = np.diag([float(monomial_norm_sq(m)) for m in monomials_of_bidegree(p, q)])
+            assert np.max(np.abs(u.conj().T @ w @ u - w)) < 1e-10 * np.max(w)
+
+
+def test_act_bargmann_acts_on_each_bidegree_part():
+    parts = [
+        {(1, 0, 0, 0, 0, 0): 1.0 + 0j, (0, 0, 1, 0, 0, 0): -2.0 + 0.5j},
+        {(1, 1, 0, 0, 1, 0): 0.5 + 0j},
+        {(0, 0, 0, 2, 0, 1): 1.0 - 1.0j, (0, 0, 0, 0, 1, 2): 0.25 + 0j},
+    ]
+    mixed = {m: c for part in parts for m, c in part.items()}
+    for seed in range(5):
+        a = numeric.haar_random_su3(seed)
+        want: dict = {}
+        for part in parts:
+            want = numeric.n_add(want, numeric.act_bargmann(a, part))
+        got = numeric.act_bargmann(a, mixed)
+        assert numeric.n_max_abs(numeric.n_add(got, want, -1.0)) < 1e-14
+    assert numeric.act_bargmann(numeric.haar_random_su3(0), {}) == {}
+
+
+def _inverse_swapped(original):
+    # A in place of A^-1: a homomorphism turned into an anti-homomorphism
+    return lambda a, p, q: original(a.conj().T, p, q)
+
+
+def _w_unconjugated(original):
+    # B in place of conj(B) on the w variables: z.w is no longer invariant
+    return lambda a, p, q: np.kron(original(a, p, 0), original(a.conj(), 0, q))
+
+
+@pytest.mark.parametrize("mutant, failing", [
+    (_inverse_swapped, "max_representation_defect"),
+    (_w_unconjugated, "max_projection_defect"),
+])
+def test_numeric_suite_fails_on_a_wrong_group_matrix(monkeypatch, mutant, failing):
+    assert verify.suite_numeric_equivariance(samples=2)["passed"]
+    monkeypatch.setattr(numeric, "group_matrix", mutant(numeric.group_matrix))
+    result = verify.suite_numeric_equivariance(samples=2)
+    assert result["passed"] is False
+    assert result[failing] > 1e-3
