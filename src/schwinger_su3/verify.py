@@ -290,7 +290,8 @@ def traceless_channel_basis(p: int, q: int) -> List[Polynomial]:
 
 def suite_induced_oracle(max_total: int = 4, max_anchor_total: int = 6) -> Dict:
     """Tensor-contraction formula vs direct sphere integration, plus the
-    measure anchors: total volume 1/2 and the 1/(p+q+2)! channel constant."""
+    measure anchors: total volume 1/2, the 1/(p+q+2)! channel constant and
+    the vanishing of moments with unequal exponent triples."""
     failures = 0
     # anchor: measure volume
     if sphere_monomial_integral((0, 0, 0), (0, 0, 0)) != Fraction(1, 2):
@@ -303,6 +304,10 @@ def suite_induced_oracle(max_total: int = 4, max_anchor_total: int = 6) -> Dict:
                             math.factorial(p + q + 2))
             if got != want:
                 failures += 1
+    # anchor: the U(1)^3 selection rule that sphere_inner_direct relies on
+    for holo, anti in (((1, 0, 0), (0, 1, 0)), ((2, 0, 1), (1, 1, 1)), ((1, 1, 0), (0, 0, 2))):
+        if sphere_monomial_integral(holo, anti) != 0:
+            failures += 1
     # constraint consistency: sum_j |xi_j|^2 = 1 under the integral
     for a in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 1)):
         total = Fraction(0)
