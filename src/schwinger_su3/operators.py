@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
-from .poly import Monomial, Polynomial, monomials_of_total_degree
+from .poly import Monomial, Polynomial
 from .scalars import CScalar, Qsqrt3, INV_SQRT3
 
 MUL = 0
@@ -357,20 +357,17 @@ def commutator_defect(
     Y: OperatorExpr,
     Z_expected: OperatorExpr,
     basis_degree: int,
-) -> List[Polynomial]:
-    """Nonzero results of ([X, Y] - Z_expected) over all monomials of degree <= basis_degree.
+) -> List[Tuple[NormalKey, CScalar]]:
+    """The (key, coefficient) terms z^alpha d^beta of the normal-ordered
+    [X, Y] - Z_expected with |beta| <= basis_degree.
 
-    An empty list certifies the relation on that truncation.  Real and
-    imaginary residues are reported as separate polynomials.
+    An empty list certifies the relation on all polynomials of degree <=
+    basis_degree, and only then: let the listed term with the fewest
+    derivatives act on z^beta. A term with beta' != beta and |beta'| >= |beta|
+    kills z^beta and one with beta' = beta yields another monomial, so the
+    result keeps a nonzero multiple of z^alpha.
     """
     if basis_degree < 0:
         raise ValueError("basis_degree must be nonnegative")
     defect_op = X.commutator(Y) - Z_expected
-    out: List[Polynomial] = []
-    for m in monomials_of_total_degree(basis_degree):
-        re, im = defect_op.apply(Polynomial.monomial(m))
-        if re:
-            out.append(re)
-        if im:
-            out.append(im)
-    return out
+    return [(key, c) for key, c in defect_op.terms.items() if sum(key[1]) <= basis_degree]

@@ -1,8 +1,9 @@
 """Verification suites: every structural identity of the construction, runnable
 from the CLI and from the acceptance tests.
 
-Each suite returns a dict with at least {"name", "passed"}; exact suites report
-a failure count, numeric suites a max defect.
+Each suite returns a dict with "name", its sizes, the counts "checks" and
+"failures", "first_failure" (a witness) when a check fails, and the verdict:
+a suite passes when it made at least one check and none failed.
 """
 
 from __future__ import annotations
@@ -50,13 +51,44 @@ _KMINUS = sp2r_generator("Kminus")
 _KPLUS = sp2r_generator("Kplus")
 
 
-def suite_su3_closure(degree: int = 6) -> Dict:
-    """[Q_a, Q_b] = i f_abc Q_c in each sector, on all monomials of degree <= degree.
+class _Tally:
+    """Checks and failures of one suite, with the first failing witness; the
+    witness is formatted only when its check fails."""
 
-    Every bilinear kills the constants, so degree 0 checks nothing and fails;
-    the same holds for the two sp(2,R) suites below."""
+    checks = failures = 0
+    first_failure = ""
+
+    def __call__(self, ok, *witness) -> None:
+        self.checks += 1
+        if not ok and not self.failures:
+            self.first_failure = " ".join(map(str, witness))
+        self.failures += not ok
+
+    def result(self, name: str, **sizes) -> Dict:
+        out = {"name": name, "passed": self.checks > 0 and self.failures == 0,
+               "checks": self.checks, "failures": self.failures, **sizes}
+        if self.failures:
+            out["first_failure"] = self.first_failure
+        return out
+
+
+def _relations(name: str, degree: int, cases) -> Dict:
+    """One check of [X, Y] = Z per (witness, X, Y, Z) case; none at degree 0."""
+    tally = _Tally()
+    if degree >= 1:
+        for witness, x, y, z in cases:
+            tally(not commutator_defect(x, y, z, degree), *witness)
+    return tally.result(name, degree=degree)
+
+
+def suite_su3_closure(degree: int = 6) -> Dict:
+    """[Q_a, Q_b] = i f_abc Q_c in each sector, on all polynomials of degree <= degree.
+
+    Every bilinear kills the constants, so degree 0 would hide any wrong su(3)
+    relation; it does not hide the sp(2,R) ones, since J0 carries the constant
+    3/2. All three algebra suites still need degree >= 1, the CLI minimum."""
     gm = gell_mann()
-    failures = 0
+    cases = []
     for sector in ("a", "b", "total"):
         gens = {alpha: su3_generator(alpha, sector) for alpha in range(1, 9)}
         for a in range(1, 9):
@@ -66,10 +98,8 @@ def suite_su3_closure(degree: int = 6) -> Dict:
                     f = gm.f(a, b, c)
                     if f:
                         expected = expected + gens[c].scale(CScalar(0, f))
-                if commutator_defect(gens[a], gens[b], expected, degree):
-                    failures += 1
-    return {"name": "su3_closure", "passed": degree >= 1 and failures == 0,
-            "failures": failures, "degree": degree}
+                cases.append(((sector, a, b), gens[a], gens[b], expected))
+    return _relations("su3_closure", degree, cases)
 
 
 def suite_sp2r_relations(degree: int = 8) -> Dict:
@@ -81,31 +111,23 @@ def suite_sp2r_relations(degree: int = 8) -> Dict:
     Km = sp2r_generator("Kminus")
     i = CScalar(0, 1)
     cases = [
-        (J0, K1, K2.scale(i)),
-        (J0, K2, K1.scale(-i)),
-        (K1, K2, J0.scale(-i)),
-        (J0, Kp, Kp),
-        (J0, Km, Km.scale(-1)),
-        (Kp, Km, J0.scale(-2)),
+        (("J0", "K1"), J0, K1, K2.scale(i)),
+        (("J0", "K2"), J0, K2, K1.scale(-i)),
+        (("K1", "K2"), K1, K2, J0.scale(-i)),
+        (("J0", "K+"), J0, Kp, Kp),
+        (("J0", "K-"), J0, Km, Km.scale(-1)),
+        (("K+", "K-"), Kp, Km, J0.scale(-2)),
     ]
-    failures = sum(
-        1 for x, y, z in cases if commutator_defect(x, y, z, degree)
-    )
-    return {"name": "sp2r_relations", "passed": degree >= 1 and failures == 0,
-            "failures": failures, "degree": degree}
+    return _relations("sp2r_relations", degree, cases)
 
 
 def suite_mutual_commutant(degree: int = 8) -> Dict:
     """[J0 or K1 or K2, Q_alpha] = 0 exactly on degree <= degree."""
     zero = OperatorExpr.zero()
-    failures = 0
-    for which in ("J0", "K1", "K2"):
-        w = sp2r_generator(which)
-        for alpha in range(1, 9):
-            if commutator_defect(w, su3_generator(alpha, "total"), zero, degree):
-                failures += 1
-    return {"name": "mutual_commutant", "passed": degree >= 1 and failures == 0,
-            "failures": failures, "degree": degree}
+    sp = {which: sp2r_generator(which) for which in ("J0", "K1", "K2")}
+    cases = [((which, alpha), w, su3_generator(alpha, "total"), zero)
+             for which, w in sp.items() for alpha in range(1, 9)]
+    return _relations("mutual_commutant", degree, cases)
 
 
 def _predicted_norm_sq(key: BasisKey) -> Fraction:
@@ -121,26 +143,23 @@ def build_states(max_pq: int, extra_m_levels: int = 2) -> List[NormalizedState]:
     return [basis_state(k) for k in enumerate_basis_keys(max_pq, extra_m_levels)]
 
 
-def suite_basis_orthonormality(max_pq: int = 5, extra_m_levels: int = 2,
+def suite_basis_orthonormality(max_pq: int = 5,
                                states: List[NormalizedState] | None = None) -> Dict:
     """Closed-form norms vs the Gaussian inner product, pairwise orthogonality,
     and the d(p,q) state count at m = k."""
     if states is None:
-        states = build_states(max_pq, extra_m_levels)
-    failures = 0
+        states = build_states(max_pq)
+    tally = _Tally()
     # unit norm: stored norm_sq is the exact inner product; confront it with the
     # closed-form normalization constants
     for st in states:
-        if bargmann_inner(st.poly, st.poly).as_fraction() != st.norm_sq:
-            failures += 1
-        if st.norm_sq != _predicted_norm_sq(st.key):
-            failures += 1
+        tally(bargmann_inner(st.poly, st.poly).as_fraction() == st.norm_sq, "norm", st.key)
+        tally(st.norm_sq == _predicted_norm_sq(st.key), "closed-form norm", st.key)
     # pairwise orthogonality
     for i in range(len(states)):
         pi = states[i].poly
         for j in range(i + 1, len(states)):
-            if bargmann_inner(pi, states[j].poly):
-                failures += 1
+            tally(not bargmann_inner(pi, states[j].poly), "overlap", states[i].key, states[j].key)
     # counting: states at m = k per (p, q) match the dimension formula
     for p in range(max_pq + 1):
         for q in range(max_pq + 1 - p):
@@ -150,13 +169,11 @@ def suite_basis_orthonormality(max_pq: int = 5, extra_m_levels: int = 2,
                 for st in states
                 if st.key.rep == rep and st.key.m2 == k_of(rep)
             )
-            if n != dim(rep):
-                failures += 1
-    return {"name": "basis_orthonormality", "passed": failures == 0,
-            "failures": failures, "states": len(states), "max_pq": max_pq}
+            tally(n == dim(rep), "state count", rep)
+    return tally.result("basis_orthonormality", states=len(states), max_pq=max_pq)
 
 
-def suite_kminus_annihilation(max_pq: int = 5, extra_m_levels: int = 2,
+def suite_kminus_annihilation(max_pq: int = 5,
                               states: List[NormalizedState] | None = None) -> Dict:
     """m = k states are killed by K-; raised states peel back to them exactly.
 
@@ -164,14 +181,13 @@ def suite_kminus_annihilation(max_pq: int = 5, extra_m_levels: int = 2,
     projector certifies f0 = 0 and the cofactor recovers the z.w quotient.
     """
     if states is None:
-        states = build_states(max_pq, extra_m_levels)
-    failures = 0
+        states = build_states(max_pq)
+    tally = _Tally()
     base_polys = {}
     for st in states:
         if st.key.m2 == k_of(st.key.rep):
             base_polys[(st.key.rep, st.key.weight)] = st.poly
-            if _KMINUS.apply_real(st.poly):
-                failures += 1
+            tally(not _KMINUS.apply_real(st.poly), "K- image", st.key)
     for st in states:
         k2 = k_of(st.key.rep)
         rho = (st.key.m2 - k2) // 2
@@ -184,21 +200,17 @@ def suite_kminus_annihilation(max_pq: int = 5, extra_m_levels: int = 2,
                 ok = False
                 break
             f = zw_cofactor(f)
-        if not ok or f != base_polys[(st.key.rep, st.key.weight)]:
-            failures += 1
-    return {"name": "kminus_annihilation", "passed": failures == 0,
-            "failures": failures, "max_pq": max_pq}
+        tally(ok and f == base_polys[(st.key.rep, st.key.weight)], "peeling", st.key)
+    return tally.result("kminus_annihilation", max_pq=max_pq)
 
 
-def suite_casimir(max_pq: int = 5, extra_m_levels: int = 2,
-                  states: List[NormalizedState] | None = None) -> Dict:
+def suite_casimir(max_pq: int = 5, states: List[NormalizedState] | None = None) -> Dict:
     """Casimir eigenvalue k(1-k) on every state, and the K+^n K-^n eigenvalue."""
     if states is None:
-        states = build_states(max_pq, extra_m_levels)
-    failures = 0
+        states = build_states(max_pq)
+    tally = _Tally()
     for st in states:
-        if not sp2r_casimir_check(st):
-            failures += 1
+        tally(sp2r_casimir_check(st), "casimir", st.key)
         rho = (st.key.m2 - k_of(st.key.rep)) // 2
         # K+^rho K-^rho eigenvalue (m-k)! (m+k-1)! / (2k-1)!
         f = st.poly
@@ -206,10 +218,8 @@ def suite_casimir(max_pq: int = 5, extra_m_levels: int = 2,
             f = _KMINUS.apply_real(f)
         for _ in range(rho):
             f = _KPLUS.apply_real(f)
-        if f != st.poly.scale(raise_norm_ratio(st.key.rep, st.key.m2)):
-            failures += 1
-    return {"name": "casimir", "passed": failures == 0, "failures": failures,
-            "max_pq": max_pq}
+        tally(f == st.poly.scale(raise_norm_ratio(st.key.rep, st.key.m2)), "K+^n K-^n", st.key)
+    return tally.result("casimir", max_pq=max_pq)
 
 
 def random_bihomogeneous(p: int, q: int, rng: random.Random) -> Polynomial:
@@ -228,54 +238,44 @@ def suite_trace_projector(samples: int = 200, max_p: int = 4, max_q: int = 4,
                           seed: int = 0) -> Dict:
     """Annihilation, idempotence, z.w divisibility and kernel of the projector."""
     rng = random.Random(seed)
-    failures = 0
+    tally = _Tally()
     for p in range(max_p + 1):
         for q in range(max_q + 1):
-            for _ in range(samples):
+            for n in range(samples):
                 f = random_bihomogeneous(p, q, rng)
                 f0 = traceless_project(f)
-                if _KMINUS.apply_real(f0):
-                    failures += 1
-                if traceless_project(f0) != f0:
-                    failures += 1
-                if (f - f0) != ZW * zw_cofactor(f):
-                    failures += 1
+                tally(not _KMINUS.apply_real(f0), "annihilation", p, q, n)
+                tally(traceless_project(f0) == f0, "idempotence", p, q, n)
+                tally((f - f0) == ZW * zw_cofactor(f), "z.w divisibility", p, q, n)
                 if p > 0 and q > 0:
                     g = random_bihomogeneous(p - 1, q - 1, rng)
-                    if traceless_project(ZW * g):
-                        failures += 1
-    return {"name": "trace_projector", "passed": failures == 0,
-            "failures": failures, "samples": samples}
+                    tally(not traceless_project(ZW * g), "kernel", p, q, n)
+    return tally.result("trace_projector", samples=samples)
 
 
 def suite_kernel_dimension(max_p: int = 4, max_q: int = 4) -> Dict:
     """dim ker K- on bidegree (p, q) equals d(p, q)."""
-    failures = 0
+    tally = _Tally()
     for p in range(max_p + 1):
         for q in range(max_q + 1):
-            if kminus_kernel_dimension(p, q) != dim(IrrepLabel(p, q)):
-                failures += 1
-    return {"name": "kernel_dimension", "passed": failures == 0,
-            "failures": failures, "max_p": max_p, "max_q": max_q}
+            tally(kminus_kernel_dimension(p, q) == dim(IrrepLabel(p, q)), p, q)
+    return tally.result("kernel_dimension", max_p=max_p, max_q=max_q)
 
 
 def suite_cg_counting(max_pq_cg: int = 20, max_pq_spectrum: int = 10) -> Dict:
     """Dimension identities for the CG series and the I-Y spectrum."""
-    failures = 0
+    tally = _Tally()
     for p in range(max_pq_cg + 1):
         for q in range(max_pq_cg + 1):
             lhs = dim(IrrepLabel(p, 0)) * dim(IrrepLabel(0, q))
             rhs = sum(dim(rep) for rep in cg_series(p, q))
-            if lhs != rhs:
-                failures += 1
+            tally(lhs == rhs, "cg series", p, q)
     for p in range(max_pq_spectrum + 1):
         for q in range(max_pq_spectrum + 1):
             rep = IrrepLabel(p, q)
-            if sum(e.size for e in iy_spectrum(rep)) != dim(rep):
-                failures += 1
-            if dim(rep) != dim(IrrepLabel(q, p)):
-                failures += 1
-    return {"name": "cg_counting", "passed": failures == 0, "failures": failures}
+            tally(sum(e.size for e in iy_spectrum(rep)) == dim(rep), "spectrum", rep)
+            tally(dim(rep) == dim(IrrepLabel(q, p)), "conjugate", rep)
+    return tally.result("cg_counting")
 
 
 def traceless_channel_basis(p: int, q: int) -> List[Polynomial]:
@@ -292,22 +292,19 @@ def suite_induced_oracle(max_total: int = 4, max_anchor_total: int = 6) -> Dict:
     """Tensor-contraction formula vs direct sphere integration, plus the
     measure anchors: total volume 1/2, the 1/(p+q+2)! channel constant and
     the vanishing of moments with unequal exponent triples."""
-    failures = 0
+    tally = _Tally()
     # anchor: measure volume
-    if sphere_monomial_integral((0, 0, 0), (0, 0, 0)) != Fraction(1, 2):
-        failures += 1
+    tally(sphere_monomial_integral((0, 0, 0), (0, 0, 0)) == Fraction(1, 2), "volume")
     # anchor: all-1-upper against all-2-lower configuration
     for p in range(max_anchor_total + 1):
         for q in range(max_anchor_total + 1 - p):
             got = sphere_monomial_integral((p, q, 0), (p, q, 0))
             want = Fraction(math.factorial(p) * math.factorial(q),
                             math.factorial(p + q + 2))
-            if got != want:
-                failures += 1
+            tally(got == want, "channel constant", p, q)
     # anchor: the U(1)^3 selection rule that sphere_inner_direct relies on
     for holo, anti in (((1, 0, 0), (0, 1, 0)), ((2, 0, 1), (1, 1, 1)), ((1, 1, 0), (0, 0, 2))):
-        if sphere_monomial_integral(holo, anti) != 0:
-            failures += 1
+        tally(sphere_monomial_integral(holo, anti) == 0, "selection rule", holo, anti)
     # constraint consistency: sum_j |xi_j|^2 = 1 under the integral
     for a in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 1)):
         total = Fraction(0)
@@ -315,16 +312,15 @@ def suite_induced_oracle(max_total: int = 4, max_anchor_total: int = 6) -> Dict:
             aj = tuple(e + (1 if i == j else 0) for i, e in enumerate(a))
             total += sphere_monomial_integral(aj, aj)
         # divide out the diagonal moment of a itself
-        if total != sphere_monomial_integral(a, a):
-            failures += 1
+        tally(total == sphere_monomial_integral(a, a), "constraint", a)
     # oracle equivalence on traceless channels
     for p in range(max_total + 1):
         for q in range(max_total + 1 - p):
             basis = [make_sphere_function(f) for f in traceless_channel_basis(p, q)]
             for i, phi in enumerate(basis):
                 for psi in basis[i:]:
-                    if induced_inner_formula(phi, psi) != sphere_inner_direct(phi, psi):
-                        failures += 1
+                    tally(induced_inner_formula(phi, psi) == sphere_inner_direct(phi, psi),
+                          "oracle", p, q)
     # cross-bidegree orthogonality of traceless functions
     chans = [(p, q) for p in range(3) for q in range(3)]
     reps = {c: traceless_channel_basis(*c) for c in chans}
@@ -334,17 +330,17 @@ def suite_induced_oracle(max_total: int = 4, max_anchor_total: int = 6) -> Dict:
                 continue
             for f in reps[c1][:3]:
                 for g in reps[c2][:3]:
-                    if sphere_inner_direct(make_sphere_function(f),
-                                           make_sphere_function(g)):
-                        failures += 1
-    return {"name": "induced_oracle", "passed": failures == 0, "failures": failures}
+                    tally(not sphere_inner_direct(make_sphere_function(f),
+                                                  make_sphere_function(g)),
+                          "cross-bidegree", c1, c2)
+    return tally.result("induced_oracle")
 
 
 def suite_equivalence_isometry(samples: int = 20, max_p: int = 4, max_q: int = 4,
                                seed: int = 0) -> Dict:
     """Inner products are carried exactly onto the sphere by the channel scaling."""
     rng = random.Random(seed)
-    failures = 0
+    tally = _Tally()
     pool: List[Polynomial] = []
     for _ in range(samples):
         p = rng.randint(0, max_p)
@@ -363,25 +359,24 @@ def suite_equivalence_isometry(samples: int = 20, max_p: int = 4, max_q: int = 4
             exact = bargmann_inner(pool[i], pool[j]).as_fraction()
             direct = sphere_inner_direct(images[i], images[j])
             formula = induced_inner_formula(images[i], images[j])
-            if direct != exact or formula != exact:
-                failures += 1
-    return {"name": "equivalence_isometry", "passed": failures == 0,
-            "failures": failures, "samples": len(pool), "seed": seed}
+            tally(direct == exact and formula == exact, "pair", i, j)
+    return tally.result("equivalence_isometry", samples=len(pool), seed=seed)
 
 
 def suite_cn_dual_route(max_pq: int = 8) -> Dict:
     """Closed form vs recursion for the highest-weight expansion coefficients."""
-    failures = 0
+    tally = _Tally()
     for p in range(max_pq + 1):
         for q in range(max_pq + 1):
             for r in range(p + 1):
                 for s in range(q + 1):
                     try:
                         cn_coeffs(p, q, r, s)
+                        agree = True
                     except ArithmeticError:
-                        failures += 1
-    return {"name": "cn_dual_route", "passed": failures == 0, "failures": failures,
-            "max_pq": max_pq}
+                        agree = False
+                    tally(agree, p, q, r, s)
+    return tally.result("cn_dual_route", max_pq=max_pq)
 
 
 def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
@@ -391,6 +386,7 @@ def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
     matrix per bidegree (numeric.group_matrix)."""
     from . import numeric  # numpy loads only for this suite
 
+    tally = _Tally()
     max_proj = 0.0
     max_rep = 0.0
     test_monomials = [
@@ -401,19 +397,20 @@ def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
     ]
     for i in range(samples):
         a = numeric.haar_random_su3(seed + i)
-        max_proj = max(max_proj, numeric.equivariance_defect(a, (2, 2)))
+        d = float(numeric.equivariance_defect(a, (2, 2)))
+        tally(d <= proj_tol, "projection", seed + i)
+        max_proj = max(max_proj, d)
         b = numeric.haar_random_su3(seed + samples + i)
         ab = a @ b
         for m in test_monomials:
             f = {m: 1.0 + 0.0j}
             lhs = numeric.act_bargmann(a, numeric.act_bargmann(b, f))
             rhs = numeric.act_bargmann(ab, f)
-            max_rep = max(max_rep, numeric.n_max_abs(numeric.n_add(lhs, rhs, -1.0)))
-    max_proj, max_rep = float(max_proj), float(max_rep)
-    passed = max_proj <= proj_tol and max_rep <= rep_tol
-    return {"name": "numeric_equivariance", "passed": passed,
-            "max_projection_defect": max_proj, "max_representation_defect": max_rep,
-            "samples": samples, "seed": seed}
+            d = float(numeric.n_max_abs(numeric.n_add(lhs, rhs, -1.0)))
+            tally(d <= rep_tol, "representation", seed + i, m)
+            max_rep = max(max_rep, d)
+    return tally.result("numeric_equivariance", max_projection_defect=max_proj,
+                        max_representation_defect=max_rep, samples=samples, seed=seed)
 
 
 def run_all(max_pq: int = 3, degree: int = 4, samples: int = 20, seed: int = 0,

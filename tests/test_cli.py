@@ -209,6 +209,7 @@ def test_verify_small(capsys):
     assert parsed["pass"] is True
     names = [s["name"] for s in parsed["suites"]]
     assert names == sorted(names)
+    assert all(s["checks"] > 0 for s in parsed["suites"])
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -15,7 +15,12 @@ from schwinger_su3.operators import (
     su2_ladder,
     su3_generator,
 )
-from schwinger_su3.poly import Polynomial, bargmann_inner, monomials_of_bidegree
+from schwinger_su3.poly import (
+    Polynomial,
+    bargmann_inner,
+    monomials_of_bidegree,
+    monomials_of_total_degree,
+)
 from schwinger_su3.scalars import CScalar, Qsqrt3
 
 Z1 = Polynomial.variable(1)
@@ -127,7 +132,9 @@ def test_commutator_defect_detects_wrong_relation():
 
 
 def test_closure_suites_fail_when_they_check_nothing():
-    # every bilinear kills the constants, so degree 0 sees no wrong relation
+    # every bilinear kills the constants, so degree 0 sees no wrong su(3)
+    # relation; the sp(2,R) constant of J0 it would see, but all three algebra
+    # suites record no check at degree 0 by policy
     q1 = su3_generator(1, "total")
     q2 = su3_generator(2, "total")
     q3 = su3_generator(3, "total")
@@ -136,6 +143,39 @@ def test_closure_suites_fail_when_they_check_nothing():
     assert verify.suite_sp2r_relations(0)["passed"] is False
     assert verify.suite_mutual_commutant(0)["passed"] is False
     assert verify.suite_su3_closure(1)["passed"] is True
+
+
+def _sweep_defect(X, Y, Z, degree):
+    """Reference: [X, Y] - Z applied to every monomial of degree <= degree."""
+    op = X.commutator(Y) - Z
+    return [part for m in monomials_of_total_degree(degree)
+            for part in op.apply(Polynomial.monomial(m)) if part]
+
+
+def test_commutator_defect_agrees_with_monomial_sweep():
+    rng = random.Random(3)
+    pool = [su3_generator(alpha, sector) for alpha in (1, 2, 3, 5, 8)
+            for sector in ("a", "total")]
+    pool += [sp2r_generator(w) for w in ("J0", "K1", "K2", "Kplus", "Kminus")]
+    pool += [su2_ladder(w) for w in ("Jplus", "Jminus", "J3")]
+    pool += [OperatorExpr.word([(rng.choice((MUL, DIFF)), rng.randrange(6))
+                                for _ in range(rng.randint(1, 3))])
+             for _ in range(6)]
+    verdicts = []
+    for _ in range(400):
+        x, y = rng.choice(pool), rng.choice(pool)
+        z = x.commutator(y)
+        if rng.random() < 0.8:
+            # a wrong relation, whose extra term some degrees still cannot see
+            symbols = [(rng.choice((MUL, DIFF)), rng.randrange(6))
+                       for _ in range(rng.randint(0, 4))]
+            n = rng.choice((-2, -1, 1, 2))
+            z = z + OperatorExpr.word(symbols, rng.choice((CScalar(n), CScalar(0, n))))
+        degree = rng.randint(0, 3)
+        verdict = bool(commutator_defect(x, y, z, degree))
+        assert verdict == bool(_sweep_defect(x, y, z, degree))
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def _random_poly(rng, p, q):
