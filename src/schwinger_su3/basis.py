@@ -166,19 +166,17 @@ def highest_weight_state(p: int, q: int, I2: int, Y3: int) -> NormalizedState:
 
 def sp2r_raise(state: NormalizedState, m2_target: int) -> NormalizedState:
     """Apply K+ = z.w until the sp(2,R) weight reaches m2_target."""
-    k2 = k_of(state.key.rep)
-    if state.key.m2 != k2:
+    if state.key.m2 != k_of(state.key.rep):
         raise ValueError("sp2r_raise expects an m = k state")
-    if m2_target < k2 or (m2_target - k2) % 2:
-        raise ValueError(f"m2_target={m2_target} invalid for 2k={k2}")
-    rho = (m2_target - k2) // 2
+    # BasisKey rejects a bad m2_target
+    key = BasisKey(rep=state.key.rep, weight=state.key.weight, m2=m2_target)
+    rho = (m2_target - state.key.m2) // 2
     if rho == 0:
         return state
     poly = state.poly
     for _ in range(rho):
         poly = poly * ZW
     norm_sq = bargmann_inner(poly, poly).as_fraction()
-    key = BasisKey(rep=state.key.rep, weight=state.key.weight, m2=m2_target)
     return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
 
 
@@ -197,8 +195,8 @@ def su2_lower(state: NormalizedState, M2_target: int) -> NormalizedState:
     w = state.key.weight
     if w.M2 != w.I2:
         raise ValueError("su2_lower expects an M = I state")
-    if abs(M2_target) > w.I2 or (M2_target - w.I2) % 2:
-        raise ValueError(f"M2_target={M2_target} invalid for I2={w.I2}")
+    # WeightLabel rejects a bad M2_target
+    key = BasisKey(rep=state.key.rep, weight=replace(w, M2=M2_target), m2=state.key.m2)
     steps = (w.I2 - M2_target) // 2
     if steps == 0:
         return state
@@ -206,7 +204,6 @@ def su2_lower(state: NormalizedState, M2_target: int) -> NormalizedState:
     for _ in range(steps):
         poly = _JMINUS.apply_real(poly)
     norm_sq = bargmann_inner(poly, poly).as_fraction()
-    key = BasisKey(rep=state.key.rep, weight=replace(w, M2=M2_target), m2=state.key.m2)
     return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
 
 
@@ -312,7 +309,8 @@ def sp2r_casimir_check(state: NormalizedState) -> bool:
 
 
 def rational_rank(rows: List[List[Fraction]]) -> int:
-    """Rank of a matrix with Fraction entries, by fraction-free-ish elimination."""
+    """Rank of a matrix with Fraction entries, by Gaussian elimination over Q
+    (row reduction with exact ``Fraction`` division)."""
     mat = [list(r) for r in rows]
     if not mat:
         return 0

@@ -1,12 +1,20 @@
 """Exact scalars: the real quadratic field Q(sqrt 3) and complex pairs over it.
 
-Every stored coefficient in the library is a ``Qsqrt3`` (value = rat + surd*sqrt(3))
-with both parts arbitrary-precision ``Fraction``s.  Plain rational quantities use
-surd = 0, and since sqrt 3 only enters through lambda_8 that is nearly every
-coefficient: addition, negation and multiplication (also by an ``int``) take a
-fast path when both sqrt(3) parts are zero, doing one ``Fraction`` operation
-instead of four.  Complex numbers never enter polynomial coefficients; they
-appear only as ``CScalar`` pairs in operator coefficients.
+Both fields are quadratic extensions, a + b*u with u*u a fixed integer over a
+base field, and share one arithmetic (``_QuadraticExtension``):
+
+* ``Qsqrt3``, value rat + surd*sqrt(3): u*u = 3 over ``Fraction``.  Every
+  stored polynomial coefficient in the library is one.
+* ``CScalar``, value re + i*im: u*u = -1 over ``Qsqrt3``.  Complex numbers
+  never enter polynomial coefficients; they appear only in operator
+  coefficients.
+
+Since sqrt 3 only enters through lambda_8 and i only through lambda_2,
+lambda_5, lambda_7 and K2, nearly every value has b = 0: addition, negation
+and multiplication (also by an ``int``) then take a fast path that does one
+base-field operation instead of four.  An operand that cannot be coerced into
+the left operand's field yields ``NotImplemented``, so mixed ``Qsqrt3`` /
+``CScalar`` arithmetic works in both orders.
 """
 
 from __future__ import annotations
@@ -27,89 +35,138 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class Qsqrt3:
-    """Element rat + surd*sqrt(3) of the field Q(sqrt 3)."""
+class _QuadraticExtension:
+    """Element a + b*u with u*u = SQUARE and a, b in a base field.
 
-    __slots__ = ("rat", "surd")
+    A subclass sets ``SQUARE`` (a non-square, so the norm a^2 - SQUARE*b^2
+    vanishes only at 0), ``_ZERO`` (the base field's zero, shared by every
+    b = 0 value) and ``_lift`` (coerces into the base field, raising
+    ``TypeError``)."""
 
-    def __init__(self, rat: RatLike = 0, surd: RatLike = _F0):
-        object.__setattr__(self, "rat", _frac(rat))
-        object.__setattr__(self, "surd", _frac(surd))
+    __slots__ = ("a", "b")
 
-    @staticmethod
-    def _of(rat: Fraction, surd: Fraction = _F0) -> "Qsqrt3":
-        """Build from two ``Fraction``s without coercing them."""
-        x = object.__new__(Qsqrt3)
-        object.__setattr__(x, "rat", rat)
-        object.__setattr__(x, "surd", surd)
+    SQUARE: int
+
+    def __init__(self, a=0, b=None):
+        lift = self._lift
+        object.__setattr__(self, "a", lift(a))
+        object.__setattr__(self, "b", self._ZERO if b is None else lift(b))
+
+    @classmethod
+    def _of(cls, a, b):
+        """Build from two base-field values without coercing them."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
         return x
 
     def __setattr__(self, name, value):
-        raise AttributeError("Qsqrt3 is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def coerce(x: "Qsqrt3 | RatLike") -> "Qsqrt3":
-        if isinstance(x, Qsqrt3):
+    @classmethod
+    def coerce(cls, x):
+        if isinstance(x, cls):
             return x
-        return Qsqrt3(_frac(x))
+        return cls._of(cls._lift(x), cls._ZERO)
+
+    def _peer(self, x):
+        """x in this field, or None when it cannot be coerced."""
+        if isinstance(x, type(self)):
+            return x
+        try:
+            return self.coerce(x)
+        except TypeError:
+            return None
 
     def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.surd)
+        return bool(self.a) or bool(self.b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Qsqrt3(other)
-        if not isinstance(other, Qsqrt3):
+        other = self._peer(other)
+        if other is None:
             return NotImplemented
-        return self.rat == other.rat and self.surd == other.surd
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
-        return hash((self.rat, self.surd))
+        return hash((self.a, self.b))
 
-    def __add__(self, other) -> "Qsqrt3":
-        other = Qsqrt3.coerce(other)
-        if not self.surd and not other.surd:
-            return Qsqrt3._of(self.rat + other.rat)
-        return Qsqrt3._of(self.rat + other.rat, self.surd + other.surd)
+    def __add__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        if not self.b and not other.b:
+            return self._of(self.a + other.a, self._ZERO)
+        return self._of(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Qsqrt3":
-        return Qsqrt3._of(-self.rat, -self.surd if self.surd else _F0)
+    def __neg__(self):
+        return self._of(-self.a, -self.b if self.b else self._ZERO)
 
-    def __sub__(self, other) -> "Qsqrt3":
-        return self + (-Qsqrt3.coerce(other))
+    def __sub__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
-    def __rsub__(self, other) -> "Qsqrt3":
-        return Qsqrt3.coerce(other) + (-self)
+    def __rsub__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
-    def __mul__(self, other) -> "Qsqrt3":
-        if isinstance(other, int) and not self.surd:
-            return Qsqrt3._of(self.rat * other)
-        other = Qsqrt3.coerce(other)
-        if not self.surd and not other.surd:
-            return Qsqrt3._of(self.rat * other.rat)
-        # (a + b s)(c + d s) = (ac + 3bd) + (ad + bc) s,  s^2 = 3
-        return Qsqrt3._of(
-            self.rat * other.rat + 3 * self.surd * other.surd,
-            self.rat * other.surd + self.surd * other.rat,
-        )
+    def __mul__(self, other):
+        a, b = self.a, self.b
+        if isinstance(other, int) and not b:
+            return self._of(a * other, self._ZERO)
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        c, d = other.a, other.b
+        if not b and not d:
+            return self._of(a * c, self._ZERO)
+        # (a + b u)(c + d u) = (ac + SQUARE bd) + (ad + bc) u
+        return self._of(a * c + self.SQUARE * b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Qsqrt3":
-        # 1/(a + b s) = (a - b s)/(a^2 - 3 b^2); the norm vanishes only at 0
-        # since sqrt(3) is irrational.
-        norm = self.rat * self.rat - 3 * self.surd * self.surd
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt 3)")
-        return Qsqrt3(self.rat / norm, -self.surd / norm)
+    def conjugate(self):
+        return self._of(self.a, -self.b if self.b else self._ZERO)
 
-    def __truediv__(self, other) -> "Qsqrt3":
-        return self * Qsqrt3.coerce(other).inverse()
+    def inverse(self):
+        # 1/(a + b u) = (a - b u)/(a^2 - SQUARE b^2)
+        a, b = self.a, self.b
+        norm = a * a - self.SQUARE * b * b
+        if not norm:
+            raise ZeroDivisionError(f"inverse of zero in {type(self).__name__}")
+        return self._of(a / norm, -b / norm)
 
-    def __rtruediv__(self, other) -> "Qsqrt3":
-        return Qsqrt3.coerce(other) * self.inverse()
+    def __truediv__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
+    def __repr__(self) -> str:
+        if not self.b:
+            return f"{type(self).__name__}({self.a})"
+        return f"{type(self).__name__}({self.a}, {self.b})"
+
+
+class Qsqrt3(_QuadraticExtension):
+    """Element rat + surd*sqrt(3) of the field Q(sqrt 3)."""
+
+    __slots__ = ()
+    SQUARE = 3
+    _ZERO = _F0
+    _lift = staticmethod(_frac)
+    rat, surd = _QuadraticExtension.a, _QuadraticExtension.b
 
     def as_fraction(self) -> Fraction:
         """The value as a Fraction; requires a vanishing sqrt(3) part."""
@@ -120,84 +177,19 @@ class Qsqrt3:
     def __float__(self) -> float:
         return float(self.rat) + float(self.surd) * 3.0 ** 0.5
 
-    def __repr__(self) -> str:
-        if self.surd == 0:
-            return f"Qsqrt3({self.rat})"
-        return f"Qsqrt3({self.rat}, {self.surd})"
-
 
 # 1/sqrt(3) = sqrt(3)/3
 INV_SQRT3 = Qsqrt3(0, Fraction(1, 3))
 
 
-class CScalar:
+class CScalar(_QuadraticExtension):
     """Complex number re + i*im with parts in Q(sqrt 3)."""
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Qsqrt3.coerce(re))
-        object.__setattr__(self, "im", Qsqrt3.coerce(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CScalar is immutable")
-
-    @staticmethod
-    def coerce(x) -> "CScalar":
-        if isinstance(x, CScalar):
-            return x
-        return CScalar(Qsqrt3.coerce(x))
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Qsqrt3)):
-            other = CScalar(other)
-        if not isinstance(other, CScalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __add__(self, other) -> "CScalar":
-        other = CScalar.coerce(other)
-        return CScalar(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CScalar":
-        return CScalar(-self.re, -self.im)
-
-    def __sub__(self, other) -> "CScalar":
-        return self + (-CScalar.coerce(other))
-
-    def __mul__(self, other) -> "CScalar":
-        other = CScalar.coerce(other)
-        return CScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CScalar":
-        return CScalar(self.re, -self.im)
-
-    def inverse(self) -> "CScalar":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of complex zero")
-        ninv = n.inverse()
-        return CScalar(self.re * ninv, -self.im * ninv)
-
-    def __truediv__(self, other) -> "CScalar":
-        return self * CScalar.coerce(other).inverse()
+    __slots__ = ()
+    SQUARE = -1
+    _ZERO = Qsqrt3(0)
+    _lift = staticmethod(Qsqrt3.coerce)
+    re, im = _QuadraticExtension.a, _QuadraticExtension.b
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    def __repr__(self) -> str:
-        return f"CScalar({self.re!r}, {self.im!r})"
-

@@ -379,6 +379,11 @@ def suite_cn_dual_route(max_pq: int = 8) -> Dict:
     return tally.result("cn_dual_route", max_pq=max_pq)
 
 
+def _nan_max(x: float, y: float) -> float:
+    """max(x, y), but NaN if either is NaN (``max`` drops a NaN second argument)."""
+    return y if y > x or math.isnan(y) else x
+
+
 def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
                                proj_tol: float = 1e-10, rep_tol: float = 1e-9) -> Dict:
     """Projection/action commutation at bidegree (2,2) and the representation
@@ -399,7 +404,7 @@ def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
         a = numeric.haar_random_su3(seed + i)
         d = float(numeric.equivariance_defect(a, (2, 2)))
         tally(d <= proj_tol, "projection", seed + i)
-        max_proj = max(max_proj, d)
+        max_proj = _nan_max(max_proj, d)
         b = numeric.haar_random_su3(seed + samples + i)
         ab = a @ b
         for m in test_monomials:
@@ -408,7 +413,7 @@ def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
             rhs = numeric.act_bargmann(ab, f)
             d = float(numeric.n_max_abs(numeric.n_add(lhs, rhs, -1.0)))
             tally(d <= rep_tol, "representation", seed + i, m)
-            max_rep = max(max_rep, d)
+            max_rep = _nan_max(max_rep, d)
     return tally.result("numeric_equivariance", max_projection_defect=max_proj,
                         max_representation_defect=max_rep, samples=samples, seed=seed)
 

@@ -53,3 +53,32 @@ def test_cscalar_arithmetic():
     z = CScalar(Qsqrt3(1), Qsqrt3(0, Fraction(1, 3)))
     assert z * z.inverse() == CScalar(1)
     assert z.conjugate().conjugate() == z
+
+
+complexes = st.builds(CScalar, elements, elements)
+
+
+@given(complexes, complexes)
+def test_complex_ring_ops_match_complex(z, w):
+    assert abs(complex(z + w) - (complex(z) + complex(w))) < 1e-9
+    assert abs(complex(z * w) - complex(z) * complex(w)) < 1e-6
+
+
+@given(complexes)
+def test_complex_inverse_and_conjugate(z):
+    assert z.conjugate().conjugate() == z
+    if not z:
+        with pytest.raises(ZeroDivisionError):
+            z.inverse()
+    else:
+        assert z * z.inverse() == 1
+        assert abs(complex(z.inverse()) * complex(z) - 1) < 1e-9
+
+
+def test_mixed_arithmetic_in_both_orders():
+    one, i = Qsqrt3(1), CScalar(0, 1)
+    assert one * i == i and i * one == i
+    assert one + i == CScalar(1, 1) and i + one == CScalar(1, 1)
+    assert one - i == CScalar(1, -1) and i - one == CScalar(-1, 1)
+    assert one == CScalar(1) and CScalar(1) == one
+    assert one != i and i != one

@@ -1,6 +1,7 @@
 """The verify suites' own contract: a suite that checks nothing fails, and a
 suite fed one wrong fact fails and names a witness."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from schwinger_su3.operators import (
     GellMannTable,
     OperatorExpr,
     commutator_defect,
+    gell_mann,
     sp2r_generator,
 )
+from schwinger_su3.scalars import CScalar, Qsqrt3
 
 
 @pytest.mark.parametrize("run", [
@@ -68,9 +71,32 @@ def test_sp2r_suite_fails_on_a_wrong_j0_constant(monkeypatch):
     assert commutator_defect(kp, km, shifted("J0").scale(-2), 0)
 
 
+@pytest.fixture
+def uncached_gell_mann():
+    # the f_abc are cached, so a changed field constant must not leak in or out
+    gell_mann.cache_clear()
+    yield
+    gell_mann.cache_clear()
+
+
+@pytest.mark.parametrize("field, square, first_failures", [
+    pytest.param(Qsqrt3, 2, {"su3_closure": "a 4 5"}, id="sqrt3-squares-to-2"),
+    pytest.param(CScalar, 1, {"su3_closure": "a 1 3", "sp2r_relations": "J0 K1"},
+                 id="i-squares-to-1"),
+])
+def test_suites_fail_on_a_wrong_field_constant(uncached_gell_mann, monkeypatch,
+                                                field, square, first_failures):
+    monkeypatch.setattr(field, "SQUARE", square)
+    for name, first in first_failures.items():
+        result = getattr(verify, f"suite_{name}")(1)
+        assert result["passed"] is False and result["first_failure"] == first
+
+
 def test_numeric_suite_fails_on_a_nan_defect(monkeypatch):
-    # max() drops a NaN, so only a per-defect check against the tolerance sees it
+    # a NaN fails every per-defect check against the tolerance, and the
+    # reported maximum keeps it, although max() alone would drop it
     monkeypatch.setattr(numeric, "equivariance_defect", lambda a, pq: float("nan"))
     result = verify.suite_numeric_equivariance(samples=2)
     assert result["passed"] is False
     assert result["failures"] == 2 and result["first_failure"] == "projection 0"
+    assert math.isnan(result["max_projection_defect"])
