@@ -47,11 +47,8 @@ from .basis import (
     cn_coeffs,
     enumerate_basis_keys,
     h0_membership,
-    highest_weight_state,
     kminus_kernel_dimension,
     sp2r_casimir_check,
-    sp2r_raise,
-    su2_lower,
     traceless_project,
     zw_cofactor,
 )

@@ -1,10 +1,13 @@
 """Construction of the normalized SU(3) x Sp(2,R) basis states and trace removal.
 
-States are stored with rational-coefficient polynomials cleared to integers,
-together with the exact squared Bargmann norm; the mathematically normalized
-state is poly / sqrt(norm_sq).  Closed-form normalization constants are kept
-as separate predictions so tests can confront them with the Gaussian-integral
-inner product.
+A state is built on one path: the trace-free part of its leading monomial
+z1^r z3^(p-r) w2^s w3^(q-s), made primitive over the integers, raised by
+K+ = z.w and lowered by J-.  It is stored with integer coefficients together
+with its exact squared Bargmann norm; the mathematically normalized state is
+poly / sqrt(norm_sq).  The paper's closed form (the C_n of ``cn_coeffs`` and
+the normalization constants) builds no state: it only predicts the norms, so
+tests can confront it with the Gaussian-integral inner product of the
+projector-built states.
 """
 
 from __future__ import annotations
@@ -38,12 +41,6 @@ ZW = (
     + Polynomial.monomial((0, 0, 1, 0, 0, 1))
 )
 
-# the SU(2)-scalar two-mode pairing z1 w1 + z2 w2 used by the highest-weight ansatz
-ZW12 = (
-    Polynomial.monomial((1, 0, 0, 1, 0, 0))
-    + Polynomial.monomial((0, 1, 0, 0, 1, 0))
-)
-
 
 @dataclass(frozen=True)
 class BasisKey:
@@ -65,8 +62,11 @@ class NormalizedState:
 
 
 def cn_coeffs(p: int, q: int, r: int, s: int) -> List[Fraction]:
-    """Expansion coefficients C_0..C_nmax of the highest-weight ansatz, C_0 = 1.
+    """Expansion coefficients C_0..C_nmax of the paper's highest-weight ansatz,
+    z1^r w2^s sum_n C_n (z1 w1 + z2 w2)^n z3^(p-r-n) w3^(q-s-n), C_0 = 1.
 
+    This closed form is a prediction, not a constructor: ``basis_state`` takes
+    the trace-free part of the n = 0 monomial, and the tests compare the two.
     Computed from the closed form and cross-checked against the recursion
     n (r+s+n+1) C_n = -(p-r-n+1) (q-s-n+1) C_{n-1}; any mismatch raises.
     """
@@ -110,74 +110,23 @@ def hw_norm_constant_sq(p: int, q: int, r: int, s: int) -> Fraction:
     )
 
 
-def _hw_clearing(p: int, q: int, r: int, s: int) -> Tuple[List[Fraction], Fraction]:
-    """The cn_coeffs C_n scaled by the lcm L of their denominators, and the
-    clearing factor L (r+s+1)! (p-r)! (q-s)! of the highest-weight polynomial
-    (see _hw_raw_poly)."""
-    cn = cn_coeffs(p, q, r, s)
-    lcm = math.lcm(*(c.denominator for c in cn))
+def predicted_hw_norm_sq(p: int, q: int, r: int, s: int) -> Fraction:
+    """Squared norm the closed-form constants predict for the m = k, M = I state.
+
+    The L C_n, with L the lcm of the denominators of cn_coeffs, are coprime
+    integers (C_0 = 1), so the ansatz scaled by L is the primitive polynomial
+    that basis_state builds.  That polynomial is clearing * v, where v is the
+    paper's summand z1^r w2^s sum_n (-1)^n / ((r+s+n+1)! n! (p-r-n)! (q-s-n)!)
+    (z1 w1 + z2 w2)^n z3^(p-r-n) w3^(q-s-n) and clearing = L (r+s+1)! (p-r)! (q-s)!.
+    """
+    lcm = math.lcm(*(c.denominator for c in cn_coeffs(p, q, r, s)))
     clearing = Fraction(
         lcm * math.factorial(r + s + 1) * math.factorial(p - r) * math.factorial(q - s)
     )
-    return [c * lcm for c in cn], clearing
-
-
-def _hw_raw_poly(p: int, q: int, r: int, s: int) -> Tuple[Polynomial, Fraction]:
-    """Unnormalized highest-weight polynomial with integer coefficients.
-
-    Returns (poly, clearing) where poly = clearing * v and v is the sum
-    z1^r w2^s sum_n (-1)^n / ((r+s+n+1)! n! (p-r-n)! (q-s-n)!)
-    (z1 w1 + z2 w2)^n z3^(p-r-n) w3^(q-s-n); the pairing in the sum is the
-    two-mode SU(2) scalar, not the full z.w.  With cn_coeffs C_n, v's n-th
-    summand carries C_n / ((r+s+1)! (p-r)! (q-s)!), and poly scales the C_n
-    by the lcm L of their denominators.
-    """
-    cleared, clearing = _hw_clearing(p, q, r, s)
-    total = Polynomial.zero()
-    zw_pow = Polynomial.constant(1)
-    for n, c in enumerate(cleared):
-        term = zw_pow.scale(c)
-        term = term * Polynomial.monomial(
-            (r, 0, p - r - n, 0, s, q - s - n)
-        )
-        total = total + term
-        zw_pow = zw_pow * ZW12
-    return total, clearing
-
-
-def predicted_hw_norm_sq(p: int, q: int, r: int, s: int) -> Fraction:
-    """Squared norm the closed-form constants assign to the cleared polynomial."""
-    _, clearing = _hw_clearing(p, q, r, s)
     n2 = hw_norm_constant_sq(p, q, r, s)
     rs_fact = Fraction(math.factorial(r) * math.factorial(s))
-    # poly = clearing * v, v = r! s! * (closed-form summand); ||summand|| = 1/N
+    # v = r! s! * (closed-form summand); ||summand|| = 1/N
     return clearing**2 * rs_fact**2 / n2
-
-
-def highest_weight_state(p: int, q: int, I2: int, Y3: int) -> NormalizedState:
-    """The m = k, M = I state annihilated by K- with the given isospin/hypercharge."""
-    rep = IrrepLabel(p, q)
-    weight = weight_from_iy(rep, I2, Y3)  # M defaults to I
-    poly, _ = _hw_raw_poly(p, q, weight.r, weight.s)
-    norm_sq = bargmann_inner(poly, poly).as_fraction()
-    key = BasisKey(rep=rep, weight=weight, m2=k_of(rep))
-    return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
-
-
-def sp2r_raise(state: NormalizedState, m2_target: int) -> NormalizedState:
-    """Apply K+ = z.w until the sp(2,R) weight reaches m2_target."""
-    if state.key.m2 != k_of(state.key.rep):
-        raise ValueError("sp2r_raise expects an m = k state")
-    # BasisKey rejects a bad m2_target
-    key = BasisKey(rep=state.key.rep, weight=state.key.weight, m2=m2_target)
-    rho = (m2_target - state.key.m2) // 2
-    if rho == 0:
-        return state
-    poly = state.poly
-    for _ in range(rho):
-        poly = poly * ZW
-    norm_sq = bargmann_inner(poly, poly).as_fraction()
-    return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
 
 
 def raise_norm_ratio(rep: IrrepLabel, m2_target: int) -> Fraction:
@@ -188,23 +137,6 @@ def raise_norm_ratio(rep: IrrepLabel, m2_target: int) -> Fraction:
     return Fraction(
         math.factorial(rho) * math.factorial(rho + k2 - 1), math.factorial(k2 - 1)
     )
-
-
-def su2_lower(state: NormalizedState, M2_target: int) -> NormalizedState:
-    """Apply the isospin lowering operator until M2 reaches M2_target."""
-    w = state.key.weight
-    if w.M2 != w.I2:
-        raise ValueError("su2_lower expects an M = I state")
-    # WeightLabel rejects a bad M2_target
-    key = BasisKey(rep=state.key.rep, weight=replace(w, M2=M2_target), m2=state.key.m2)
-    steps = (w.I2 - M2_target) // 2
-    if steps == 0:
-        return state
-    poly = state.poly
-    for _ in range(steps):
-        poly = _JMINUS.apply_real(poly)
-    norm_sq = bargmann_inner(poly, poly).as_fraction()
-    return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
 
 
 def lower_norm_ratio(I2: int, M2_target: int) -> Fraction:
@@ -220,12 +152,24 @@ def lower_norm_ratio(I2: int, M2_target: int) -> Fraction:
 
 
 def basis_state(key: BasisKey) -> NormalizedState:
-    """|p,q; I M Y; m> assembled as highest weight -> sp(2,R) raise -> SU(2) lower."""
+    """|p,q; I M Y; m>: the trace-free part of the leading monomial
+    z1^r z3^(p-r) w2^s w3^(q-s), divided by the gcd of its integer coefficients,
+    times (z.w)^(m-k), lowered by J-^(I-M).
+
+    The trace projector is orthogonal for the Bargmann product, so the leading
+    monomial keeps a positive coefficient (its overlap with its own projection).
+    """
+    p, q = key.rep.p, key.rep.q
     w = key.weight
-    st = highest_weight_state(key.rep.p, key.rep.q, w.I2, w.Y3)
-    st = sp2r_raise(st, key.m2)
-    st = su2_lower(st, w.M2)
-    return st
+    terms, _ = trace_free_terms({(w.r, 0, p - w.r, 0, w.s, q - w.s): 1}, p, q)
+    g = math.gcd(*terms.values())
+    poly = Polynomial({m: c // g for m, c in terms.items()})
+    for _ in range((key.m2 - k_of(key.rep)) // 2):
+        poly = poly * ZW
+    for _ in range((w.I2 - w.M2) // 2):
+        poly = _JMINUS.apply_real(poly)
+    norm_sq = bargmann_inner(poly, poly).as_fraction()
+    return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
 
 
 def enumerate_basis_keys(max_pq: int, extra_m_levels: int = 2) -> Iterator[BasisKey]:

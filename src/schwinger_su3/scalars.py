@@ -88,7 +88,9 @@ class _QuadraticExtension:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # a b = 0 value hashes as its base-field part, as == compares it, so
+        # 1, Fraction(1), Qsqrt3(1) and CScalar(1) share one hash
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __add__(self, other):
         other = self._peer(other)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from schwinger_su3 import numeric
+from schwinger_su3 import basis, numeric
 from schwinger_su3.basis import (
     ZW,
     BasisKey,
@@ -13,21 +13,18 @@ from schwinger_su3.basis import (
     enumerate_basis_keys,
     gram_rank,
     h0_membership,
-    highest_weight_state,
     hw_norm_constant_sq,
     kminus_kernel_dimension,
     lower_norm_ratio,
     predicted_hw_norm_sq,
     raise_norm_ratio,
     sp2r_casimir_check,
-    sp2r_raise,
     state_from_dict,
     state_to_dict,
-    su2_lower,
     traceless_project,
     zw_cofactor,
 )
-from schwinger_su3.catalog import IrrepLabel, dim, k_of, weight_from_iy
+from schwinger_su3.catalog import IrrepLabel, dim, k_of, weight_from_iy, weight_from_rs
 from schwinger_su3.operators import sp2r_generator, su2_ladder
 from schwinger_su3.poly import Polynomial, bargmann_inner, monomials_of_bidegree
 from schwinger_su3.scalars import Qsqrt3
@@ -65,7 +62,7 @@ def test_cn_coeffs_dual_route_small_grid():
 
 
 def test_highest_weight_octet_singlet():
-    st = highest_weight_state(1, 1, 0, 0)
+    st = basis_state(_key(1, 1, 0, 0, 0, 5))
     # proportional to z3 w3 - (z1 w1 + z2 w2)/2, cleared to integers
     want = (
         Polynomial.monomial((0, 0, 1, 0, 0, 1), 2)
@@ -81,50 +78,57 @@ def test_highest_weight_octet_singlet():
 
 
 def test_highest_weight_triplet_and_vacuum():
-    st = highest_weight_state(1, 0, 1, 1)  # I = 1/2, Y = 1/3
+    st = basis_state(_key(1, 0, 1, 1, 1, 4))  # I = 1/2, Y = 1/3
     assert st.poly == Z1 and st.norm_sq == 1
-    st = highest_weight_state(0, 0, 0, 0)
+    st = basis_state(_key(0, 0, 0, 0, 0, 3))
     assert st.poly == Polynomial.constant(1) and st.norm_sq == 1
 
 
+def test_closed_form_highest_weight_is_the_projected_state():
+    # the paper's ansatz z1^r w2^s sum_n L C_n (z1 w1 + z2 w2)^n z3^(p-r-n) w3^(q-s-n),
+    # L the lcm of the C_n denominators, coefficient by coefficient
+    zw12 = Z1 * W1 + Z2 * W2
+    for p in range(6):
+        for q in range(6):
+            rep = IrrepLabel(p, q)
+            for r in range(p + 1):
+                for s in range(q + 1):
+                    cn = cn_coeffs(p, q, r, s)
+                    lcm = math.lcm(*(c.denominator for c in cn))
+                    want = Polynomial.zero()
+                    zw_pow = Polynomial.constant(1)
+                    for n, c in enumerate(cn):
+                        m = (r, 0, p - r - n, 0, s, q - s - n)
+                        want = want + zw_pow * Polynomial.monomial(m, lcm * c)
+                        zw_pow = zw_pow * zw12
+                    key = BasisKey(rep=rep, weight=weight_from_rs(rep, r, s), m2=k_of(rep))
+                    assert basis_state(key).poly == want, (p, q, r, s)
+
+
 def test_sp2r_raise_vacuum():
-    vac = highest_weight_state(0, 0, 0, 0)
-    raised = sp2r_raise(vac, 5)  # m = 5/2 from k = 3/2
+    raised = basis_state(_key(0, 0, 0, 0, 0, 5))  # m = 5/2 from k = 3/2
     assert raised.poly == ZW
     assert raised.norm_sq == 3
     assert raise_norm_ratio(IrrepLabel(0, 0), 5) == 3
-    assert sp2r_raise(vac, 3) is vac  # m2_target = 2k is the identity
 
 
 def test_sp2r_raise_keeps_unit_norm():
-    st = highest_weight_state(1, 1, 0, 0)
-    raised = sp2r_raise(st, 7)  # m = k + 1
+    st = basis_state(_key(1, 1, 0, 0, 0, 5))
+    raised = basis_state(_key(1, 1, 0, 0, 0, 7))  # m = k + 1
+    assert raised.poly == ZW * st.poly
     assert raised.norm_sq == bargmann_inner(raised.poly, raised.poly).as_fraction()
     assert raised.norm_sq == st.norm_sq * raise_norm_ratio(IrrepLabel(1, 1), 7)
 
 
-def test_sp2r_raise_validation():
-    st = highest_weight_state(1, 1, 0, 0)
-    with pytest.raises(ValueError):
-        sp2r_raise(st, 6)  # wrong parity
-    raised = sp2r_raise(st, 7)
-    with pytest.raises(ValueError):
-        sp2r_raise(raised, 9)  # not an m = k state
-
-
 def test_su2_lower_doublets():
-    up = highest_weight_state(1, 0, 1, 1)
-    down = su2_lower(up, -1)
+    down = basis_state(_key(1, 0, 1, -1, 1, 4))
     assert down.poly == Z2 and down.norm_sq == 1
-    assert su2_lower(up, 1) is up
-    anti = highest_weight_state(0, 1, 1, -1)
+    anti = basis_state(_key(0, 1, 1, 1, -1, 4))
     assert anti.poly == W2
-    lowered = su2_lower(anti, -1)
+    lowered = basis_state(_key(0, 1, 1, -1, -1, 4))
     assert lowered.poly == -W1 and lowered.norm_sq == 1
     with pytest.raises(ValueError):
-        su2_lower(up, -2)
-    with pytest.raises(ValueError):
-        su2_lower(down, -1)  # not an M = I state
+        _key(1, 0, 1, -2, 1, 4)  # M2 = -2 outside +-I2
 
 
 def test_lower_norm_ratio_grouping():
@@ -274,3 +278,17 @@ def test_state_serialization_round_trip():
     assert back.poly == st.poly
     assert back.norm_sq == st.norm_sq
     assert back.key == st.key
+
+
+def test_basis_state_measures_one_norm(monkeypatch):
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return bargmann_inner(f, g)
+
+    monkeypatch.setattr(basis, "bargmann_inner", counting)
+    keys = list(enumerate_basis_keys(2, extra_m_levels=1))
+    for key in keys:
+        basis_state(key)
+    assert len(calls) == len(keys)

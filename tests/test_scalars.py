@@ -82,3 +82,17 @@ def test_mixed_arithmetic_in_both_orders():
     assert one - i == CScalar(1, -1) and i - one == CScalar(-1, 1)
     assert one == CScalar(1) and CScalar(1) == one
     assert one != i and i != one
+
+
+def test_equal_values_share_one_hash():
+    assert len({1, Fraction(1), Qsqrt3(1), CScalar(1)}) == 1
+    assert len({Qsqrt3(0, 1), CScalar(Qsqrt3(0, 1))}) == 1
+
+
+@given(rationals)
+def test_equal_rational_values_hash_alike(x):
+    values = [x, Qsqrt3(x), CScalar(x), CScalar(Qsqrt3(x))]
+    if x.denominator == 1:
+        values.append(x.numerator)
+    for v in values:
+        assert v == x and hash(v) == hash(x)

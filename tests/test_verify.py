@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from schwinger_su3 import numeric, verify
+from schwinger_su3 import basis, induced, numeric, verify
 from schwinger_su3.operators import (
     GellMannTable,
     OperatorExpr,
@@ -69,6 +69,38 @@ def test_sp2r_suite_fails_on_a_wrong_j0_constant(monkeypatch):
     # the constant shows already at degree 0, unlike any su(3) relation
     kp, km = sp2r_generator("Kplus"), sp2r_generator("Kminus")
     assert commutator_defect(kp, km, shifted("J0").scale(-2), 0)
+
+
+def test_orthonormality_suite_fails_on_a_wrong_norm_constant(monkeypatch):
+    states = verify.build_states(1)
+    assert verify.suite_basis_orthonormality(1, states=states)["passed"] is True
+    original = basis.hw_norm_constant_sq
+
+    def doubled(p, q, r, s):
+        n2 = original(p, q, r, s)
+        return 2 * n2 if r + s else n2
+
+    monkeypatch.setattr(basis, "hw_norm_constant_sq", doubled)
+    result = verify.suite_basis_orthonormality(1, states=states)
+    # every state with r + s > 0 misses its closed-form norm
+    assert result["passed"] is False and result["failures"] == 12
+    assert result["first_failure"].startswith("closed-form norm")
+
+
+def test_induced_oracle_fails_on_a_wrong_moment_factorial(monkeypatch):
+    def moment(holo, anti):
+        # (|a|+1)! in place of (|a|+2)! in the denominator
+        if tuple(holo) != tuple(anti):
+            return Fraction(0)
+        return Fraction(math.prod(map(math.factorial, holo)),
+                        math.factorial(sum(holo) + 1))
+
+    # the direct route reads it in induced, the anchors in verify
+    monkeypatch.setattr(induced, "sphere_monomial_integral", moment)
+    monkeypatch.setattr(verify, "sphere_monomial_integral", moment)
+    result = verify.suite_induced_oracle(max_total=2, max_anchor_total=2)
+    assert result["passed"] is False and result["failures"] == 42
+    assert result["first_failure"] == "volume"
 
 
 @pytest.fixture
