@@ -191,8 +191,19 @@ def _contractions(
 # -- Gell-Mann data ------------------------------------------------------------
 
 
+# the standard table of structure constants (Gell-Mann 1962): the nine
+# independent f_abc, a < b < c, grouped by value
+_F_STANDARD = (
+    (Qsqrt3(1), ((1, 2, 3),)),
+    (Qsqrt3(Fraction(1, 2)), ((1, 4, 7), (2, 4, 6), (2, 5, 7), (3, 4, 5))),
+    (Qsqrt3(Fraction(-1, 2)), ((1, 5, 6), (3, 6, 7))),
+    (Qsqrt3(0, Fraction(1, 2)), ((4, 5, 8), (6, 7, 8))),  # sqrt(3)/2
+)
+
+
 class GellMannTable:
-    """The standard lambda matrices over Q(sqrt 3) and derived structure constants."""
+    """The standard lambda matrices over Q(sqrt 3) and, stated apart from them,
+    the totally antisymmetric f_abc; criterion 1 checks the one against the other."""
 
     def __init__(self):
         z = CScalar(0)
@@ -210,42 +221,16 @@ class GellMannTable:
             [[t, z, z], [z, t, z], [z, z, t * CScalar(-2)]],
         ]
         self.f_consts: Dict[Tuple[int, int, int], Qsqrt3] = {}
-        for a in range(1, 9):
-            for b in range(a + 1, 9):
-                comm = _mat_sub(
-                    _mat_mul(self.lambdas[a - 1], self.lambdas[b - 1]),
-                    _mat_mul(self.lambdas[b - 1], self.lambdas[a - 1]),
-                )
-                for c in range(1, 9):
-                    # tr([la, lb] lc) = 4 i f_abc
-                    tr = _mat_trace(_mat_mul(comm, self.lambdas[c - 1]))
-                    if tr.re:
-                        raise AssertionError("structure-constant trace not imaginary")
-                    f = tr.im * Fraction(1, 4)
-                    if f:
-                        for perm, sign in (
-                            ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
-                            ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1),
-                        ):
-                            self.f_consts[perm] = f * sign
+        for f, triples in _F_STANDARD:
+            for a, b, c in triples:
+                for perm, sign in (
+                    ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
+                    ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1),
+                ):
+                    self.f_consts[perm] = f * sign
 
     def f(self, a: int, b: int, c: int) -> Qsqrt3:
         return self.f_consts.get((a, b, c), Qsqrt3(0))
-
-
-def _mat_mul(A, B):
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(3)), CScalar(0)) for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _mat_sub(A, B):
-    return [[A[i][j] - B[i][j] for j in range(3)] for i in range(3)]
-
-
-def _mat_trace(A) -> CScalar:
-    return A[0][0] + A[1][1] + A[2][2]
 
 
 @lru_cache(maxsize=None)

@@ -42,10 +42,11 @@ from .operators import (
     commutator_defect,
     gell_mann,
     sp2r_generator,
+    su2_ladder,
     su3_generator,
 )
 from .poly import Polynomial, bargmann_inner, monomials_of_bidegree
-from .scalars import CScalar
+from .scalars import CScalar, Qsqrt3
 
 _KMINUS = sp2r_generator("Kminus")
 _KPLUS = sp2r_generator("Kplus")
@@ -205,13 +206,20 @@ def suite_kminus_annihilation(max_pq: int = 5,
 
 
 def suite_casimir(max_pq: int = 5, states: List[NormalizedState] | None = None) -> Dict:
-    """Casimir eigenvalue k(1-k) on every state, and the K+^n K-^n eigenvalue."""
+    """Casimir eigenvalue k(1-k) on every state, the K+^n K-^n eigenvalue, and
+    on each m = k state its labels: J3 = M and Q8 = (sqrt 3/2) Y."""
     if states is None:
         states = build_states(max_pq)
+    j3, q8 = su2_ladder("J3"), su3_generator(8)
     tally = _Tally()
     for st in states:
         tally(sp2r_casimir_check(st), "casimir", st.key)
         rho = (st.key.m2 - k_of(st.key.rep)) // 2
+        if rho == 0:
+            w = st.key.weight
+            tally(j3.apply_real(st.poly) == st.poly.scale(Fraction(w.M2, 2)), "J3", st.key)
+            tally(q8.apply_real(st.poly) == st.poly.scale(Qsqrt3(0, Fraction(w.Y3, 6))),
+                  "Q8", st.key)
         # K+^rho K-^rho eigenvalue (m-k)! (m+k-1)! / (2k-1)!
         f = st.poly
         for _ in range(rho):
@@ -364,18 +372,19 @@ def suite_equivalence_isometry(samples: int = 20, max_p: int = 4, max_q: int = 4
 
 
 def suite_cn_dual_route(max_pq: int = 8) -> Dict:
-    """Closed form vs recursion for the highest-weight expansion coefficients."""
+    """The closed-form C_n of ``cn_coeffs`` against the recursion
+    n (r+s+n+1) C_n = -(p-r-n+1) (q-s-n+1) C_{n-1}, C_0 = 1: one check per
+    (p, q, r, s)."""
     tally = _Tally()
     for p in range(max_pq + 1):
         for q in range(max_pq + 1):
             for r in range(p + 1):
                 for s in range(q + 1):
-                    try:
-                        cn_coeffs(p, q, r, s)
-                        agree = True
-                    except ArithmeticError:
-                        agree = False
-                    tally(agree, p, q, r, s)
+                    rec = [Fraction(1)]
+                    for n in range(1, min(p - r, q - s) + 1):
+                        rec.append(rec[-1] * Fraction(-(p - r - n + 1) * (q - s - n + 1),
+                                                      n * (r + s + n + 1)))
+                    tally(cn_coeffs(p, q, r, s) == rec, p, q, r, s)
     return tally.result("cn_dual_route", max_pq=max_pq)
 
 

@@ -29,12 +29,20 @@ def test_haar_sampler_is_special_unitary():
 
 
 def test_haar_first_entry_moment():
+    # E|a00|^2 = 1/3; the trace moments E[tr A] = 0 and E|tr A|^2 = 1 of Haar
+    # SU(3) also see the QR phase fix, which the |a00|^2 moment cannot
     total = 0.0
+    trace_sum = 0j
+    trace_sq = 0.0
     n = 10_000
     for seed in range(n):
         a = numeric.haar_random_su3(seed)
         total += abs(a[0, 0]) ** 2
+        trace_sum += np.trace(a)
+        trace_sq += abs(np.trace(a)) ** 2
     assert abs(total / n - 1 / 3) < 0.02
+    assert abs(trace_sum / n) < 0.05
+    assert abs(trace_sq / n - 1) < 0.05
 
 
 def test_identity_acts_trivially():

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schwinger_su3 import verify
@@ -58,6 +60,12 @@ def test_structure_constants_match_textbook_table():
     assert gm.f(2, 1, 3) == Qsqrt3(-1)
     assert gm.f(3, 1, 2) == Qsqrt3(1)
     assert not gm.f(1, 2, 4)
+    # reference route, in floats from the lambdas: f_abc = tr([la, lb] lc) / (4i)
+    lam = [np.array([[complex(c) for c in row] for row in m]) for m in gm.lambdas]
+    for a, b, c in itertools.product(range(1, 9), repeat=3):
+        la, lb, lc = lam[a - 1], lam[b - 1], lam[c - 1]
+        want = np.trace((la @ lb - lb @ la) @ lc) / 4j
+        assert abs(want - float(gm.f(a, b, c))) < 1e-12, (a, b, c)
 
 
 def test_su3_generator_diagonal_actions():

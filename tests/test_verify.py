@@ -1,12 +1,13 @@
 """The verify suites' own contract: a suite that checks nothing fails, and a
 suite fed one wrong fact fails and names a witness."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from schwinger_su3 import basis, induced, numeric, verify
+from schwinger_su3 import basis, catalog, induced, numeric, verify
 from schwinger_su3.operators import (
     GellMannTable,
     OperatorExpr,
@@ -105,7 +106,8 @@ def test_induced_oracle_fails_on_a_wrong_moment_factorial(monkeypatch):
 
 @pytest.fixture
 def uncached_gell_mann():
-    # the f_abc are cached, so a changed field constant must not leak in or out
+    # the table is built once and cached, so a table built under a patch must
+    # not leak in or out
     gell_mann.cache_clear()
     yield
     gell_mann.cache_clear()
@@ -122,6 +124,48 @@ def test_suites_fail_on_a_wrong_field_constant(uncached_gell_mann, monkeypatch,
     for name, first in first_failures.items():
         result = getattr(verify, f"suite_{name}")(1)
         assert result["passed"] is False and result["first_failure"] == first
+
+
+def test_closure_suite_fails_on_a_negated_lambda(uncached_gell_mann, monkeypatch):
+    class NegatedLambda5:
+        # lambda_5 negated as the table stores it, before anything reads it
+        def __get__(self, table, owner):
+            return table.__dict__["lambdas"]
+
+        def __set__(self, table, lambdas):
+            table.__dict__["lambdas"] = [
+                [[-c for c in row] for row in lam] if j == 4 else lam
+                for j, lam in enumerate(lambdas)
+            ]
+
+    monkeypatch.setattr(GellMannTable, "lambdas", NegatedLambda5(), raising=False)
+    result = verify.suite_su3_closure(1)
+    # the f_abc come from the standard table, not from the lambdas, so each of
+    # the 11 relations per sector with Q5 on either side fails
+    assert result["passed"] is False and result["failures"] == 33
+    assert result["first_failure"] == "a 1 5"
+
+
+def test_cn_suite_fails_on_a_dropped_sign(monkeypatch):
+    # the closed form without its (-1)^n; C_0 = 1 still holds
+    original = verify.cn_coeffs
+    monkeypatch.setattr(verify, "cn_coeffs", lambda *pqrs: [abs(c) for c in original(*pqrs)])
+    result = verify.suite_cn_dual_route(2)
+    assert result["passed"] is False and result["first_failure"] == "1 1 0 0"
+
+
+def test_casimir_suite_fails_on_a_flipped_hypercharge(monkeypatch):
+    original = catalog.weight_from_rs
+
+    def flipped(rep, r, s, M2=None):
+        w = original(rep, r, s, M2=M2)
+        return dataclasses.replace(w, Y3=-w.Y3)
+
+    monkeypatch.setattr(catalog, "weight_from_rs", flipped)
+    result = verify.suite_casimir(1)
+    # every m = k state but the Y = 0 vacuum carries the wrong Q8 eigenvalue
+    assert result["passed"] is False and result["failures"] == 6
+    assert result["first_failure"].startswith("Q8 ")
 
 
 def test_numeric_suite_fails_on_a_nan_defect(monkeypatch):
