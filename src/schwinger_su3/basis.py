@@ -27,7 +27,7 @@ from .poly import (
     trace_series,
 )
 from .operators import sp2r_generator, su2_ladder
-from .scalars import Qsqrt3
+from .scalars import Qsqrt3, RatLike
 
 _KMINUS = sp2r_generator("Kminus")
 _KPLUS = sp2r_generator("Kplus")
@@ -178,7 +178,8 @@ def enumerate_basis_keys(max_pq: int, extra_m_levels: int = 2) -> Iterator[Basis
 def _run_trace_kernel(f: Polynomial, kernel) -> Polynomial:
     """Run a ``poly`` trace kernel, (integer terms, p, q) -> (D h, D), on the
     rational and the sqrt(3) part of f's coefficients, each cleared to integers
-    over one common denominator L; h / (D L) is that part of the result."""
+    over one common denominator L; h / (D L) is that part of the result, an
+    ``int`` where it is integral."""
     if not f:
         return f
     pq = f.bidegree()
@@ -192,11 +193,12 @@ def _run_trace_kernel(f: Polynomial, kernel) -> Polynomial:
         ints = {m: x.numerator * (den // x.denominator) for m, x in fracs}
         out, scale = kernel(ints, p, q) if ints else ({}, 1)
         den *= scale
-        parts.append({m: Fraction(c, den) for m, c in out.items()})
+        parts.append(
+            {m: c // den if c % den == 0 else Fraction(c, den) for m, c in out.items()}
+        )
     rat, surd = parts
-    zero = Fraction(0)
-    terms = {m: Qsqrt3._of(c, surd.pop(m, zero)) for m, c in rat.items()}
-    terms.update((m, Qsqrt3._of(zero, c)) for m, c in surd.items())
+    terms = {m: Qsqrt3._of(c, surd.pop(m, 0)) for m, c in rat.items()}
+    terms.update((m, Qsqrt3._of(0, c)) for m, c in surd.items())
     return Polynomial._of(terms)
 
 
@@ -239,35 +241,29 @@ def sp2r_casimir_check(state: NormalizedState) -> bool:
 # -- exact linear algebra over Q ---------------------------------------------------
 
 
-def rational_rank(rows: List[List[Fraction]]) -> int:
-    """Rank of a matrix with Fraction entries, by Gaussian elimination over Q
-    (row reduction with exact ``Fraction`` division)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
+def rational_rank(rows: List[List[RatLike]]) -> int:
+    """Rank of a matrix with int or Fraction entries, by fraction-free Bareiss
+    elimination (Bareiss, Math. Comp. 22, 1968): each row is cleared to
+    integers, and every entry after a pivot step is a minor of the matrix,
+    divided exactly (``//``) by the previous pivot."""
+    mat = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        mat.append([x.numerator * (den // x.denominator) for x in r])
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        for i in range(row + 1, len(mat)):
-            if mat[i][col]:
-                factor = mat[i][col] / pv
-                ri, rr = mat[i], mat[row]
-                for j in range(col, ncols):
-                    ri[j] -= factor * rr[j]
-        row += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        pv = top[col]
+        for ri in mat[rank + 1:]:
+            f = ri[col]
+            for j in range(col + 1, len(top)):
+                ri[j] = (pv * ri[j] - f * top[j]) // prev
+        prev = pv
         rank += 1
-        if row == len(mat):
-            break
     return rank
 
 

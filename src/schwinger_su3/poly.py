@@ -26,6 +26,8 @@ Monomial = Tuple[int, int, int, int, int, int]
 
 NVARS = 6
 
+_QZERO = Qsqrt3(0)
+
 # a term dict of the trace kernel; its coefficients need only + and * by int
 Coeff = TypeVar("Coeff")
 Terms = Dict[Monomial, Coeff]
@@ -165,7 +167,7 @@ class Polynomial:
         return {d: Polynomial._of(terms) for d, terms in parts.items()}
 
     def coefficient(self, m: Monomial) -> Qsqrt3:
-        return self.terms.get(tuple(m), Qsqrt3(0))
+        return self.terms.get(tuple(m), _QZERO)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -185,7 +187,7 @@ def bargmann_inner(f: Polynomial, g: Polynomial) -> Qsqrt3:
     a, b = f.terms, g.terms
     if len(a) > len(b):
         a, b = b, a
-    total = Qsqrt3(0)
+    total = _QZERO
     for m, ca in a.items():
         cb = b.get(m)
         if cb is not None:

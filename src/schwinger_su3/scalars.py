@@ -3,8 +3,14 @@
 Both fields are quadratic extensions, a + b*u with u*u a fixed integer over a
 base field, and share one arithmetic (``_QuadraticExtension``):
 
-* ``Qsqrt3``, value rat + surd*sqrt(3): u*u = 3 over ``Fraction``.  Every
-  stored polynomial coefficient in the library is one.
+* ``Qsqrt3``, value rat + surd*sqrt(3): u*u = 3 over the rationals.  Every
+  stored polynomial coefficient in the library is one.  A part is a plain
+  ``int`` when it is lifted from an integral value (``int``, ``bool`` or
+  ``Fraction(n, 1)``) and a ``Fraction`` otherwise.  Sums and products of
+  ``int`` parts stay ``int``; ``Fraction`` arithmetic is not renormalized, so
+  it may leave an integral ``Fraction``.  Python's numeric tower mixes the two
+  exactly, and equal values compare and hash alike, so the integer basis
+  states run on ``int`` arithmetic throughout.
 * ``CScalar``, value re + i*im: u*u = -1 over ``Qsqrt3``.  Complex numbers
   never enter polynomial coefficients; they appear only in operator
   coefficients.
@@ -24,14 +30,13 @@ from typing import Union
 
 RatLike = Union[int, Fraction]
 
-_F0 = Fraction(0)
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _frac(x) -> RatLike:
+    """x as a rational: an ``int`` when integral, else a ``Fraction``."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)  # also turns a bool into 0 or 1
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -39,9 +44,9 @@ class _QuadraticExtension:
     """Element a + b*u with u*u = SQUARE and a, b in a base field.
 
     A subclass sets ``SQUARE`` (a non-square, so the norm a^2 - SQUARE*b^2
-    vanishes only at 0), ``_ZERO`` (the base field's zero, shared by every
-    b = 0 value) and ``_lift`` (coerces into the base field, raising
-    ``TypeError``)."""
+    vanishes only at 0), ``_ZERO`` and ``_ONE`` (the base field's zero, shared
+    by every b = 0 value, and one) and ``_lift`` (coerces into the base field,
+    raising ``TypeError``)."""
 
     __slots__ = ("a", "b")
 
@@ -141,7 +146,9 @@ class _QuadraticExtension:
         norm = a * a - self.SQUARE * b * b
         if not norm:
             raise ZeroDivisionError(f"inverse of zero in {type(self).__name__}")
-        return self._of(a / norm, -b / norm)
+        # one exact division in the base field; int / int would leave Q
+        inv = self._ONE / norm
+        return type(self)(a * inv, -b * inv)
 
     def __truediv__(self, other):
         other = self._peer(other)
@@ -166,7 +173,7 @@ class Qsqrt3(_QuadraticExtension):
 
     __slots__ = ()
     SQUARE = 3
-    _ZERO = _F0
+    _ZERO, _ONE = 0, Fraction(1)
     _lift = staticmethod(_frac)
     rat, surd = _QuadraticExtension.a, _QuadraticExtension.b
 
@@ -174,7 +181,7 @@ class Qsqrt3(_QuadraticExtension):
         """The value as a Fraction; requires a vanishing sqrt(3) part."""
         if self.surd != 0:
             raise ValueError(f"{self!r} has an irrational part")
-        return self.rat
+        return Fraction(self.rat)
 
     def __float__(self) -> float:
         return float(self.rat) + float(self.surd) * 3.0 ** 0.5
@@ -189,7 +196,7 @@ class CScalar(_QuadraticExtension):
 
     __slots__ = ()
     SQUARE = -1
-    _ZERO = Qsqrt3(0)
+    _ZERO, _ONE = Qsqrt3(0), Qsqrt3(1)
     _lift = staticmethod(Qsqrt3.coerce)
     re, im = _QuadraticExtension.a, _QuadraticExtension.b
 

@@ -241,6 +241,63 @@ def test_trace_kernel_matches_reference_series():
                 assert numeric.n_max_abs(diff) < 1e-12
 
 
+def _int_parts(f):
+    return all(type(c.rat) is int and type(c.surd) is int for c in f.terms.values())
+
+
+def test_basis_states_and_their_peeled_cofactors_have_int_parts():
+    base = {}
+    for key in enumerate_basis_keys(3):
+        st = basis_state(key)
+        assert _int_parts(st.poly), key
+        rho = (key.m2 - k_of(key.rep)) // 2
+        f = st.poly
+        for _ in range(rho):
+            g = zw_cofactor(f)
+            assert _int_parts(g) and ZW * g == f, key
+            f = g
+        base.setdefault((key.rep, key.weight), f)
+        assert f == base[(key.rep, key.weight)], key
+
+
+def _fraction_rank(rows):
+    """Rank by textbook Gaussian elimination with Fraction division."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            factor = mat[i][col] / mat[rank][col]
+            mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_rational_rank_matches_fraction_elimination():
+    rng = random.Random(17)
+    deficient = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        r = rng.randint(0, min(n, m))
+        # an n x m product of n x r and r x m factors has rank <= r
+        left = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(r)]
+                for _ in range(n)]
+        right = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+        rows = [[sum((a[k] * right[k][j] for k in range(r)), Fraction(0))
+                 for j in range(m)] for a in left]
+        if rng.random() < 0.5:  # int entries, and zero columns the pivot skips
+            rows = [[int(x * 60) if j % 3 else 0 for j, x in enumerate(row)]
+                    for row in rows]
+        expected = _fraction_rank(rows)
+        deficient += expected < min(n, m)
+        assert basis.rational_rank(rows) == expected, rows
+    assert deficient > 50
+    assert basis.rational_rank([]) == 0
+
+
 def test_h0_membership():
     assert h0_membership(Z1 * W2 - Z2 * W1)
     assert not h0_membership(ZW)

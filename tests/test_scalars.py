@@ -96,3 +96,51 @@ def test_equal_rational_values_hash_alike(x):
         values.append(x.numerator)
     for v in values:
         assert v == x and hash(v) == hash(x)
+
+
+def test_integral_parts_are_ints():
+    # lifted integral values, int arithmetic, and an inverse that is integral
+    for x in (Qsqrt3(3), Qsqrt3(True), Qsqrt3(Fraction(6, 3), -2),
+              Qsqrt3.coerce(Fraction(-5, 1)), Qsqrt3(2) * Qsqrt3(1, 1) + 4,
+              Qsqrt3(1).inverse(), Qsqrt3(Fraction(-1, 2)).inverse()):
+        assert type(x.rat) is int and type(x.surd) is int
+    z = CScalar(1, Fraction(4, 2))
+    assert all(type(t) is int for t in (z.re.rat, z.re.surd, z.im.rat, z.im.surd))
+    half = Qsqrt3(Fraction(1, 2))
+    assert type(half.rat) is Fraction and type(half.surd) is int
+
+
+def test_as_fraction_returns_a_fraction():
+    for x in (Qsqrt3(4), Qsqrt3(Fraction(2, 3)), Qsqrt3(0)):
+        assert type(x.as_fraction()) is Fraction
+
+
+# int and Fraction parts, so that int-only operands reach every operation
+exact_parts = st.one_of(st.integers(-50, 50), rationals)
+exact_elements = st.builds(Qsqrt3, exact_parts, exact_parts)
+exact_complexes = st.builds(CScalar, exact_elements, exact_elements)
+
+
+def _parts(x):
+    if isinstance(x, CScalar):
+        return _parts(x.re) + _parts(x.im)
+    return (x.rat, x.surd)
+
+
+@pytest.mark.parametrize("pair", [
+    pytest.param(st.tuples(exact_elements, exact_elements), id="Qsqrt3"),
+    pytest.param(st.tuples(exact_complexes, exact_complexes), id="CScalar"),
+])
+@given(data=st.data())
+def test_field_operations_keep_parts_exact(pair, data):
+    a, b = data.draw(pair)
+    results = [a * b, a * 3, 2 * b]
+    if b:
+        results += [b.inverse(), a / b, 1 / b, b / b]
+    if a:
+        results.append(b / a)
+    for x in results:
+        for part in _parts(x):
+            assert type(part) in (int, Fraction), x
+    if b:
+        assert a / b * b == a

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from schwinger_su3 import basis, catalog, induced, numeric, verify
+from schwinger_su3 import basis, catalog, induced, numeric, poly, verify
 from schwinger_su3.operators import (
     GellMannTable,
     OperatorExpr,
@@ -166,6 +166,32 @@ def test_casimir_suite_fails_on_a_flipped_hypercharge(monkeypatch):
     # every m = k state but the Y = 0 vacuum carries the wrong Q8 eigenvalue
     assert result["passed"] is False and result["failures"] == 6
     assert result["first_failure"].startswith("Q8 ")
+
+
+def test_kernel_dimension_suite_fails_on_a_rank_one_short(monkeypatch):
+    # an elimination that loses one pivot on every matrix of two or more rows;
+    # K- from (1, 1) has a single row, so (1, 2) is the first bidegree caught
+    original = basis.rational_rank
+    monkeypatch.setattr(basis, "rational_rank", lambda rows: original(rows) - (len(rows) > 1))
+    result = verify.suite_kernel_dimension(2, 2)
+    assert result["passed"] is False and result["first_failure"] == "1 2"
+
+
+def test_kminus_suite_fails_on_a_wrong_trace_weight(monkeypatch):
+    # A_2 one larger: D g gains K-^2 f inside one z.w, so D f0 loses
+    # (z.w)^2 K-^2 f; only bidegrees with min(p, q) >= 2 see it
+    def a2_off_by_one(terms, p, q):
+        out, den = poly.trace_free_terms(terms, p, q)
+        k2 = poly.kminus_terms(poly.kminus_terms(terms))
+        for m, c in poly.zw_mul_terms(poly.zw_mul_terms(k2)).items():
+            out[m] = out.get(m, 0) - c
+        return {m: c for m, c in out.items() if c}, den
+
+    monkeypatch.setattr(basis, "trace_free_terms", a2_off_by_one)
+    result = verify.suite_kminus_annihilation(max_pq=4)
+    assert result["passed"] is False
+    assert result["checks"] == 546 and result["failures"] == 184
+    assert result["first_failure"].startswith("K- image ")
 
 
 def test_numeric_suite_fails_on_a_nan_defect(monkeypatch):
