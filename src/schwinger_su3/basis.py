@@ -243,32 +243,43 @@ def sp2r_casimir_check(state: NormalizedState) -> bool:
 
 def rational_rank(rows: List[List[RatLike]]) -> int:
     """Rank of a matrix with int or Fraction entries, by fraction-free Bareiss
-    elimination (Bareiss, Math. Comp. 22, 1968): each row is cleared to
-    integers, and every entry after a pivot step is a minor of the matrix,
-    divided exactly (``//``) by the previous pivot."""
+    elimination (Bareiss, Math. Comp. 22, 1968) on rows cleared to integers:
+    a step turns row r into (pv r - f top) / prev, a minor, so ``//`` is exact.
+    With f = 0 that only rescales r by pv / prev, and these scales telescope,
+    so such a row is left as is and ``scale[i]`` records the pivot it is up to
+    date with; K-, already in echelon form, then costs one pass."""
     mat = []
     for r in rows:
-        den = math.lcm(*(x.denominator for x in r))
-        mat.append([x.numerator * (den // x.denominator) for x in r])
+        if set(map(type, r)) <= {int}:
+            mat.append(list(r))
+        else:
+            den = math.lcm(*(x.denominator for x in r))
+            mat.append([x.numerator * (den // x.denominator) for x in r])
+    scale = [1] * len(mat)
     rank, prev = 0, 1
     for col in range(len(mat[0]) if mat else 0):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        pv = top[col]
-        for ri in mat[rank + 1:]:
-            f = ri[col]
-            for j in range(col + 1, len(top)):
-                ri[j] = (pv * ri[j] - f * top[j]) // prev
+        for seq in (mat, scale):
+            seq[rank], seq[pivot] = seq[pivot], seq[rank]
+        top, s = mat[rank], scale[rank]
+        pv = top[col] * prev // s
+        below = [i for i in range(rank + 1, len(mat)) if mat[i][col]]
+        if below:
+            top = [x * prev // s for x in top]
+        for i in below:
+            f = mat[i][col]
+            mat[i] = [(pv * x - f * y) // scale[i] for x, y in zip(mat[i], top)]
+            scale[i] = pv
         prev = pv
         rank += 1
     return rank
 
 
-def kminus_matrix(p: int, q: int) -> Tuple[List[List[Fraction]], int]:
-    """Matrix of K- from the bidegree-(p,q) monomial basis; returns (rows, ncols).
+def kminus_matrix(p: int, q: int) -> Tuple[List[List[int]], int]:
+    """Integer matrix of K- from the bidegree-(p,q) monomial basis; returns
+    (rows, ncols).
 
     Rows are indexed by target monomials of bidegree (p-1, q-1), columns by
     source monomials of bidegree (p, q).
@@ -279,11 +290,11 @@ def kminus_matrix(p: int, q: int) -> Tuple[List[List[Fraction]], int]:
         return [], len(src)
     tgt = list(monomials_of_bidegree(p - 1, q - 1))
     row_of = {m: i for i, m in enumerate(tgt)}
-    rows = [[Fraction(0)] * len(src) for _ in tgt]
+    rows = [[0] * len(src) for _ in tgt]
     for m, j in col_of.items():
         image = _KMINUS.apply_real(Polynomial.monomial(m))
         for tm, c in image.terms.items():
-            rows[row_of[tm]][j] = c.as_fraction()
+            rows[row_of[tm]][j] = c.rat  # K- = sum_j d/dz_j d/dw_j is integral
     return rows, len(src)
 
 

@@ -4,13 +4,12 @@ Both fields are quadratic extensions, a + b*u with u*u a fixed integer over a
 base field, and share one arithmetic (``_QuadraticExtension``):
 
 * ``Qsqrt3``, value rat + surd*sqrt(3): u*u = 3 over the rationals.  Every
-  stored polynomial coefficient in the library is one.  A part is a plain
-  ``int`` when it is lifted from an integral value (``int``, ``bool`` or
-  ``Fraction(n, 1)``) and a ``Fraction`` otherwise.  Sums and products of
-  ``int`` parts stay ``int``; ``Fraction`` arithmetic is not renormalized, so
-  it may leave an integral ``Fraction``.  Python's numeric tower mixes the two
-  exactly, and equal values compare and hash alike, so the integer basis
-  states run on ``int`` arithmetic throughout.
+  stored polynomial coefficient in the library is one.  A part lifted from an
+  integral value (``int``, ``bool``, ``Fraction(n, 1)``) is an ``int``, and
+  ``int`` parts stay ``int`` under +, -, *, so the integer basis states run on
+  ``int`` arithmetic; other parts are ``Fraction`` (not renormalized, so
+  ``Fraction`` arithmetic may leave an integral one).  The two mix exactly,
+  and equal values compare and hash alike.
 * ``CScalar``, value re + i*im: u*u = -1 over ``Qsqrt3``.  Complex numbers
   never enter polynomial coefficients; they appear only in operator
   coefficients.
