@@ -16,12 +16,15 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .catalog import IrrepLabel, WeightLabel, iy_spectrum, k_of, weight_from_iy
 from .poly import (
+    Monomial,
     Polynomial,
     bargmann_inner,
+    charge,
+    kminus_terms,
     monomials_of_bidegree,
     trace_free_terms,
     trace_series,
@@ -244,64 +247,46 @@ def sp2r_casimir_check(state: NormalizedState) -> bool:
 def rational_rank(rows: List[List[RatLike]]) -> int:
     """Rank of a matrix with int or Fraction entries, by fraction-free Bareiss
     elimination (Bareiss, Math. Comp. 22, 1968) on rows cleared to integers:
-    a step turns row r into (pv r - f top) / prev, a minor, so ``//`` is exact.
-    With f = 0 that only rescales r by pv / prev, and these scales telescope,
-    so such a row is left as is and ``scale[i]`` records the pivot it is up to
-    date with; K-, already in echelon form, then costs one pass."""
+    a step turns each row r below the pivot row into (pv r - f top) / prev,
+    a minor of the matrix, so ``//`` is exact."""
     mat = []
     for r in rows:
-        if set(map(type, r)) <= {int}:
-            mat.append(list(r))
-        else:
-            den = math.lcm(*(x.denominator for x in r))
-            mat.append([x.numerator * (den // x.denominator) for x in r])
-    scale = [1] * len(mat)
+        den = math.lcm(*(x.denominator for x in r))
+        mat.append([x.numerator * (den // x.denominator) for x in r])
     rank, prev = 0, 1
     for col in range(len(mat[0]) if mat else 0):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
-        for seq in (mat, scale):
-            seq[rank], seq[pivot] = seq[pivot], seq[rank]
-        top, s = mat[rank], scale[rank]
-        pv = top[col] * prev // s
-        below = [i for i in range(rank + 1, len(mat)) if mat[i][col]]
-        if below:
-            top = [x * prev // s for x in top]
-        for i in below:
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        pv = top[col]
+        for i in range(rank + 1, len(mat)):
             f = mat[i][col]
-            mat[i] = [(pv * x - f * y) // scale[i] for x, y in zip(mat[i], top)]
-            scale[i] = pv
+            mat[i] = [(pv * x - f * y) // prev for x, y in zip(mat[i], top)]
         prev = pv
         rank += 1
     return rank
 
 
-def kminus_matrix(p: int, q: int) -> Tuple[List[List[int]], int]:
-    """Integer matrix of K- from the bidegree-(p,q) monomial basis; returns
-    (rows, ncols).
-
-    Rows are indexed by target monomials of bidegree (p-1, q-1), columns by
-    source monomials of bidegree (p, q).
-    """
-    src = list(monomials_of_bidegree(p, q))
-    col_of = {m: i for i, m in enumerate(src)}
-    if p == 0 or q == 0:
-        return [], len(src)
-    tgt = list(monomials_of_bidegree(p - 1, q - 1))
-    row_of = {m: i for i, m in enumerate(tgt)}
-    rows = [[0] * len(src) for _ in tgt]
-    for m, j in col_of.items():
-        image = _KMINUS.apply_real(Polynomial.monomial(m))
-        for tm, c in image.terms.items():
-            rows[row_of[tm]][j] = c.rat  # K- = sum_j d/dz_j d/dw_j is integral
-    return rows, len(src)
-
-
 def kminus_kernel_dimension(p: int, q: int) -> int:
-    """Dimension of ker K- inside bidegree (p, q), by exact nullity."""
-    rows, ncols = kminus_matrix(p, q)
-    return ncols - rational_rank(rows)
+    """Dimension of ker K- inside bidegree (p, q), by exact nullity.
+
+    K- keeps the U(1)^3 charge a - b of z^a w^b, so its matrix from the
+    monomials of bidegree (p, q) to those of (p-1, q-1) splits into one block
+    per charge; the nullity is the sum of the blocks' nullities.
+    """
+    blocks: Dict[Tuple[int, int, int], List[Monomial]] = {}
+    for m in monomials_of_bidegree(p, q):
+        blocks.setdefault(charge(m), []).append(m)
+    nullity = 0
+    for cols in blocks.values():
+        images = [kminus_terms({m: 1}) for m in cols]
+        targets = {t for image in images for t in image}
+        nullity += len(cols) - rational_rank(
+            [[image.get(t, 0) for image in images] for t in targets]
+        )
+    return nullity
 
 
 # -- serialization ------------------------------------------------------------
@@ -340,13 +325,3 @@ def state_from_dict(d: dict) -> NormalizedState:
         norm_sq=Fraction(int(d["norm_sq"]["num"]), int(d["norm_sq"]["den"])),
         key=key,
     )
-
-
-def gram_rank(states: List[NormalizedState]) -> int:
-    """Exact rank of the Gram matrix of the given state polynomials."""
-    n = len(states)
-    rows = [
-        [bargmann_inner(states[i].poly, states[j].poly).as_fraction() for j in range(n)]
-        for i in range(n)
-    ]
-    return rational_rank(rows)

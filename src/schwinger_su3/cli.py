@@ -64,11 +64,6 @@ def _irrep(args) -> IrrepLabel:
         raise CliError(str(exc)) from None
 
 
-def _fmt_fraction(num: int, den: int) -> str:
-    f = Fraction(num, den)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -93,7 +88,7 @@ def _rows(kind: str, rep: IrrepLabel, subgroup: str | None = None) -> list:
     if kind == "spectra":
         return [
             {"p": p, "q": q, "r": w.r, "s": w.s, "I2": w.I2, "Y3": w.Y3,
-             "I": _fmt_fraction(w.I2, 2), "Y": _fmt_fraction(w.Y3, 3), "size": w.size}
+             "I": str(w.I), "Y": str(w.Y), "size": w.size}
             for w in iy_spectrum(rep)
         ]
     if kind == "cg":

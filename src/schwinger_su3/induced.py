@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .basis import h0_membership
-from .poly import Polynomial, monomial_norm_sq
+from .poly import Polynomial, charge, monomial_norm_sq
 
 Channel = Tuple[int, int]
 
@@ -86,7 +86,7 @@ def sphere_inner_direct(phi: SphereFunction, psi: SphereFunction) -> Fraction:
             base = Fraction(0)
             for m1, c1 in fp.terms.items():
                 a1, b1 = m1[:3], m1[3:]
-                for a2, b2, c2 in buckets.get(_charge(m1), ()):
+                for a2, b2, c2 in buckets.get(charge(m1), ()):
                     # conj(phi) term xi^b1 xi*^a1 times psi term xi^a2 xi*^b2
                     holo = tuple(x + y for x, y in zip(b1, a2))
                     anti = tuple(x + y for x, y in zip(a1, b2))
@@ -98,16 +98,11 @@ def sphere_inner_direct(phi: SphereFunction, psi: SphereFunction) -> Fraction:
     return total
 
 
-def _charge(m: Tuple[int, ...]) -> Tuple[int, int, int]:
-    """U(1)^3 charge a - b of the term xi^a conj(xi)^b."""
-    return (m[0] - m[3], m[1] - m[4], m[2] - m[5])
-
-
 def _charge_buckets(f: Polynomial) -> Dict[Tuple[int, int, int], list]:
     """The terms of f as (a, b, coefficient), grouped by charge."""
     buckets: Dict[Tuple[int, int, int], list] = {}
     for m, c in f.terms.items():
-        buckets.setdefault(_charge(m), []).append((m[:3], m[3:], c))
+        buckets.setdefault(charge(m), []).append((m[:3], m[3:], c))
     return buckets
 
 

@@ -33,6 +33,11 @@ Coeff = TypeVar("Coeff")
 Terms = Dict[Monomial, Coeff]
 
 
+def charge(m: Monomial) -> Tuple[int, int, int]:
+    """U(1)^3 charge a - b of the monomial z^a w^b (or xi^a conj(xi)^b)."""
+    return (m[0] - m[3], m[1] - m[4], m[2] - m[5])
+
+
 def monomial_norm_sq(m: Monomial) -> int:
     """Squared Bargmann norm of a monomial: the product of exponent factorials."""
     out = 1

@@ -11,7 +11,6 @@ from schwinger_su3.basis import (
     basis_state,
     cn_coeffs,
     enumerate_basis_keys,
-    gram_rank,
     h0_membership,
     hw_norm_constant_sq,
     kminus_kernel_dimension,
@@ -310,17 +309,6 @@ def test_kernel_dimensions_small():
     assert kminus_kernel_dimension(0, 0) == 1
     assert kminus_kernel_dimension(1, 1) == 8
     assert kminus_kernel_dimension(2, 1) == dim(IrrepLabel(2, 1))
-
-
-def test_gram_rank_completeness():
-    rep = IrrepLabel(1, 1)
-    states = [
-        basis_state(k)
-        for k in enumerate_basis_keys(2, extra_m_levels=0)
-        if k.rep == rep
-    ]
-    assert len(states) == 8
-    assert gram_rank(states) == dim(rep)
 
 
 def test_state_serialization_round_trip():

@@ -170,28 +170,72 @@ def test_casimir_suite_fails_on_a_flipped_hypercharge(monkeypatch):
 
 def test_kernel_dimension_suite_fails_on_a_rank_one_short(monkeypatch):
     # an elimination that loses one pivot on every matrix of two or more rows;
-    # K- from (1, 1) has a single row, so (1, 2) is the first bidegree caught
+    # K- is ranked one U(1)^3 charge block at a time, every block up to (2, 1)
+    # has at most one row, and the charge-0 block of (2, 2), with targets
+    # z_j w_j, is the first with several
     original = basis.rational_rank
     monkeypatch.setattr(basis, "rational_rank", lambda rows: original(rows) - (len(rows) > 1))
     result = verify.suite_kernel_dimension(2, 2)
-    assert result["passed"] is False and result["first_failure"] == "1 2"
+    assert result["passed"] is False and result["first_failure"] == "2 2"
+
+
+def _trace_weight_one_larger(n):
+    """basis's trace_free_terms with A_n one larger: D g gains
+    (z.w)^(n-1) K-^n f, so D f0 loses (z.w)^n K-^n f; only bidegrees with
+    min(p, q) >= n see it."""
+    def patched(terms, p, q):
+        out, den = poly.trace_free_terms(terms, p, q)
+        lost = terms
+        for step in (poly.kminus_terms, poly.zw_mul_terms):
+            for _ in range(n):
+                lost = step(lost)
+        for m, c in lost.items():
+            out[m] = out.get(m, 0) - c
+        return {m: c for m, c in out.items() if c}, den
+    return patched
 
 
 def test_kminus_suite_fails_on_a_wrong_trace_weight(monkeypatch):
-    # A_2 one larger: D g gains K-^2 f inside one z.w, so D f0 loses
-    # (z.w)^2 K-^2 f; only bidegrees with min(p, q) >= 2 see it
-    def a2_off_by_one(terms, p, q):
-        out, den = poly.trace_free_terms(terms, p, q)
-        k2 = poly.kminus_terms(poly.kminus_terms(terms))
-        for m, c in poly.zw_mul_terms(poly.zw_mul_terms(k2)).items():
-            out[m] = out.get(m, 0) - c
-        return {m: c for m, c in out.items() if c}, den
-
-    monkeypatch.setattr(basis, "trace_free_terms", a2_off_by_one)
+    monkeypatch.setattr(basis, "trace_free_terms", _trace_weight_one_larger(2))
     result = verify.suite_kminus_annihilation(max_pq=4)
     assert result["passed"] is False
     assert result["checks"] == 546 and result["failures"] == 184
     assert result["first_failure"].startswith("K- image ")
+
+
+def test_trace_projector_suite_fails_on_a_wrong_trace_weight(monkeypatch):
+    monkeypatch.setattr(basis, "trace_free_terms", _trace_weight_one_larger(3))
+    result = verify.suite_trace_projector(samples=2, max_p=3, max_q=3, seed=0)
+    assert result["passed"] is False
+    assert result["checks"] == 114 and result["failures"] == 8
+    assert result["first_failure"] == "annihilation 3 3 0"
+
+
+def test_cg_suite_fails_on_a_dropped_last_term(monkeypatch):
+    # the series loses (p - min, q - min) whenever it has more than one term
+    original = verify.cg_series
+    monkeypatch.setattr(verify, "cg_series",
+                        lambda p, q: original(p, q)[:-1] if min(p, q) > 0 else original(p, q))
+    result = verify.suite_cg_counting()
+    assert result["passed"] is False
+    assert result["checks"] == 683 and result["failures"] == 400
+    assert result["first_failure"] == "cg series 1 1"
+
+
+def test_isometry_suite_fails_on_a_wrong_channel_scale(monkeypatch):
+    # channels rescaled by sqrt((p+q+1)!) in place of sqrt((p+q+2)!)
+    original = verify.equivalence_map
+
+    def wrong_scale(f):
+        image = original(f)
+        return dataclasses.replace(image, channel_scale_sq={
+            (p, q): Fraction(math.factorial(p + q + 1)) for p, q in image.channel_scale_sq})
+
+    monkeypatch.setattr(verify, "equivalence_map", wrong_scale)
+    result = verify.suite_equivalence_isometry(samples=2, max_p=3, max_q=3, seed=7)
+    assert result["passed"] is False
+    assert result["checks"] == 3 and result["failures"] == 2
+    assert result["first_failure"] == "pair 0 0"
 
 
 def test_numeric_suite_fails_on_a_nan_defect(monkeypatch):
