@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
-from .catalog import IrrepLabel, WeightLabel, iy_spectrum, k_of, weight_from_iy
+from .catalog import IrrepLabel, WeightLabel, iy_spectrum, k_of
 from .poly import (
     Monomial,
     Polynomial,
@@ -26,6 +26,7 @@ from .poly import (
     charge,
     kminus_terms,
     monomials_of_bidegree,
+    poly_to_records,
     trace_free_terms,
     trace_series,
 )
@@ -293,8 +294,6 @@ def kminus_kernel_dimension(p: int, q: int) -> int:
 
 
 def state_to_dict(state: NormalizedState) -> dict:
-    from .poly import poly_to_records
-
     w = state.key.weight
     return {
         "key": {
@@ -312,16 +311,3 @@ def state_to_dict(state: NormalizedState) -> dict:
         },
     }
 
-
-def state_from_dict(d: dict) -> NormalizedState:
-    from .poly import poly_from_records
-
-    k = d["key"]
-    rep = IrrepLabel(int(k["p"]), int(k["q"]))
-    weight = weight_from_iy(rep, int(k["I2"]), int(k["Y3"]), M2=int(k["M2"]))
-    key = BasisKey(rep=rep, weight=weight, m2=int(k["m2"]))
-    return NormalizedState(
-        poly=poly_from_records(d["terms"]),
-        norm_sq=Fraction(int(d["norm_sq"]["num"]), int(d["norm_sq"]["den"])),
-        key=key,
-    )

@@ -20,7 +20,6 @@ from .basis import (
 )
 from .catalog import (
     SUBGROUPS,
-    InvalidWeightError,
     IrrepLabel,
     cg_series,
     dim,
@@ -155,7 +154,7 @@ def cmd_state(args) -> int:
     try:
         weight = weight_from_iy(rep, I2, Y3, M2=M2)
         key = BasisKey(rep=rep, weight=weight, m2=m2)
-    except (InvalidWeightError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
     st = basis_state(key)
     if args.json:
@@ -306,8 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--I", required=True, help="isospin, e.g. 1/2 or 0.5")
-    p.add_argument("--M", required=True, help="magnetic quantum number")
-    p.add_argument("--Y", required=True, help="hypercharge, a third-integer fraction")
+    p.add_argument("--M", required=True,
+                   help="magnetic quantum number; a negative one as --M=-1/2")
+    p.add_argument("--Y", required=True,
+                   help="hypercharge, a third-integer fraction; a negative one as --Y=-1/3")
     p.add_argument("--m", required=True, help="sp(2,R) weight, half-integer >= (p+q+3)/2")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")

@@ -120,9 +120,6 @@ class OperatorExpr:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("OperatorExpr is unhashable (equality is semantic)")
-
     # -- application -----------------------------------------------------------
 
     def apply(self, f: Polynomial) -> Tuple[Polynomial, Polynomial]:
@@ -288,11 +285,9 @@ def number_op(sector: str) -> OperatorExpr:
 def sp2r_generator(which: str) -> OperatorExpr:
     """One of J0, K1, K2, Kplus, Kminus on the six-mode Bargmann space."""
     if which == "J0":
-        half = Fraction(1, 2)
-        out = OperatorExpr.identity(Fraction(3, 2))
-        for j in range(1, 7):
-            out = out + OperatorExpr.bilinear(j, j, half)
-        return out
+        # J0 = (N_a + N_b + 3)/2
+        n = number_op("a") + number_op("b") + OperatorExpr.identity(3)
+        return n.scale(Fraction(1, 2))
     if which == "Kplus":
         out = OperatorExpr.zero()
         for j in range(3):

@@ -42,10 +42,11 @@ def _frac(x) -> RatLike:
 class _QuadraticExtension:
     """Element a + b*u with u*u = SQUARE and a, b in a base field.
 
-    A subclass sets ``SQUARE`` (a non-square, so the norm a^2 - SQUARE*b^2
-    vanishes only at 0), ``_ZERO`` and ``_ONE`` (the base field's zero, shared
-    by every b = 0 value, and one) and ``_lift`` (coerces into the base field,
-    raising ``TypeError``)."""
+    A subclass sets ``SQUARE`` (a non-square in the base field), ``_ZERO``
+    (the base field's zero, shared by every b = 0 value) and ``_lift``
+    (coerces into the base field, raising ``TypeError``).  The operations are
+    +, -, * and conjugation: the construction never divides an exact scalar,
+    so there is no inverse."""
 
     __slots__ = ("a", "b")
 
@@ -139,28 +140,6 @@ class _QuadraticExtension:
     def conjugate(self):
         return self._of(self.a, -self.b if self.b else self._ZERO)
 
-    def inverse(self):
-        # 1/(a + b u) = (a - b u)/(a^2 - SQUARE b^2)
-        a, b = self.a, self.b
-        norm = a * a - self.SQUARE * b * b
-        if not norm:
-            raise ZeroDivisionError(f"inverse of zero in {type(self).__name__}")
-        # one exact division in the base field; int / int would leave Q
-        inv = self._ONE / norm
-        return type(self)(a * inv, -b * inv)
-
-    def __truediv__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __repr__(self) -> str:
         if not self.b:
             return f"{type(self).__name__}({self.a})"
@@ -172,7 +151,7 @@ class Qsqrt3(_QuadraticExtension):
 
     __slots__ = ()
     SQUARE = 3
-    _ZERO, _ONE = 0, Fraction(1)
+    _ZERO = 0
     _lift = staticmethod(_frac)
     rat, surd = _QuadraticExtension.a, _QuadraticExtension.b
 
@@ -195,7 +174,7 @@ class CScalar(_QuadraticExtension):
 
     __slots__ = ()
     SQUARE = -1
-    _ZERO, _ONE = Qsqrt3(0), Qsqrt3(1)
+    _ZERO = Qsqrt3(0)
     _lift = staticmethod(Qsqrt3.coerce)
     re, im = _QuadraticExtension.a, _QuadraticExtension.b
 

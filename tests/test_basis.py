@@ -18,14 +18,18 @@ from schwinger_su3.basis import (
     predicted_hw_norm_sq,
     raise_norm_ratio,
     sp2r_casimir_check,
-    state_from_dict,
     state_to_dict,
     traceless_project,
     zw_cofactor,
 )
 from schwinger_su3.catalog import IrrepLabel, dim, k_of, weight_from_iy, weight_from_rs
 from schwinger_su3.operators import sp2r_generator, su2_ladder
-from schwinger_su3.poly import Polynomial, bargmann_inner, monomials_of_bidegree
+from schwinger_su3.poly import (
+    Polynomial,
+    bargmann_inner,
+    monomials_of_bidegree,
+    poly_from_records,
+)
 from schwinger_su3.scalars import Qsqrt3
 
 KMINUS = sp2r_generator("Kminus")
@@ -314,10 +318,10 @@ def test_kernel_dimensions_small():
 def test_state_serialization_round_trip():
     st = basis_state(_key(2, 1, 2, 0, -2, 8))
     d = state_to_dict(st)
-    back = state_from_dict(d)
-    assert back.poly == st.poly
-    assert back.norm_sq == st.norm_sq
-    assert back.key == st.key
+    assert poly_from_records(d["terms"]) == st.poly
+    assert Fraction(int(d["norm_sq"]["num"]), int(d["norm_sq"]["den"])) == st.norm_sq
+    w = st.key.weight
+    assert d["key"] == {"p": 2, "q": 1, "I2": w.I2, "M2": w.M2, "Y3": w.Y3, "m2": 8}
 
 
 def test_basis_state_measures_one_norm(monkeypatch):

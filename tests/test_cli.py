@@ -94,6 +94,16 @@ def test_state_text(capsys):
     assert "norm_sq = 1" in out
 
 
+def test_negative_fractions_need_the_equals_form(capsys):
+    # argparse reads "-1/3" after "--Y" as an option, so a negative value
+    # must be attached: --Y=-1/3
+    head = ["state", "0", "1", "--I", "1/2", "--M=-1/2"]
+    code, out, _ = _run(capsys, *head, "--Y=-1/3", "--m", "2", "--json")
+    assert code == 0 and json.loads(out)["key"]["Y3"] == -1
+    code, out, err = _run(capsys, *head, "--Y", "-1/3", "--m", "2", "--json")
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_state_json_round_trip(capsys):
     args = ["state", "1", "1", "--I", "0", "--M", "0", "--Y", "0", "--m", "5/2",
             "--json"]
@@ -268,6 +278,8 @@ def test_verify_rejects_bad_sizes(capsys):
 
 _STARTUP_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
+    import schwinger_su3
+    root = sorted(m for m in sys.modules if m.startswith("schwinger_su3."))
     from schwinger_su3 import cli
 
     def run(*argv, stdin=""):
@@ -282,14 +294,14 @@ _STARTUP_PROBE = textwrap.dedent("""
 
     small = ["--max-pq", "0", "--degree", "1", "--samples", "1"]
     z1w1 = '[{"exps": [1, 0, 0, 1, 0, 0], "num": "1", "den": "1"}]'
-    print(json.dumps([
+    print(json.dumps({"root": root, "runs": [
         run("dim", "1", "1"),
         run("cg", "1", "1"),
         run("table", "dims"),
         run("project", stdin=z1w1),
         run("verify", *small),
         run("verify", "--numeric", *small, "--numeric-samples", "1"),
-    ]))
+    ]}))
 """)
 
 
@@ -301,7 +313,9 @@ def test_startup_loads_numpy_and_verify_only_on_demand():
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    *short, exact, numeric = json.loads(proc.stdout)
+    doc = json.loads(proc.stdout)
+    assert doc["root"] == []  # the package root imports no submodule
+    *short, exact, numeric = doc["runs"]
     for run in short:
         assert run["code"] == 0 and run["out"], run["argv"]
         assert run["loaded"] == [], run["argv"]

@@ -27,15 +27,6 @@ def test_ring_ops_match_floats(a, b):
     assert abs(float(a * b) - float(a) * float(b)) < 1e-6
 
 
-@given(elements)
-def test_inverse(a):
-    if not a:
-        with pytest.raises(ZeroDivisionError):
-            a.inverse()
-    else:
-        assert a * a.inverse() == 1
-
-
 def test_inv_sqrt3_squares_to_third():
     inv = Qsqrt3(0, Fraction(1, 3))
     assert inv * inv == Fraction(1, 3)
@@ -51,7 +42,6 @@ def test_cscalar_arithmetic():
     i = CScalar(0, 1)
     assert i * i == CScalar(-1)
     z = CScalar(Qsqrt3(1), Qsqrt3(0, Fraction(1, 3)))
-    assert z * z.inverse() == CScalar(1)
     assert z.conjugate().conjugate() == z
 
 
@@ -65,14 +55,8 @@ def test_complex_ring_ops_match_complex(z, w):
 
 
 @given(complexes)
-def test_complex_inverse_and_conjugate(z):
+def test_complex_conjugate(z):
     assert z.conjugate().conjugate() == z
-    if not z:
-        with pytest.raises(ZeroDivisionError):
-            z.inverse()
-    else:
-        assert z * z.inverse() == 1
-        assert abs(complex(z.inverse()) * complex(z) - 1) < 1e-9
 
 
 def test_mixed_arithmetic_in_both_orders():
@@ -99,10 +83,9 @@ def test_equal_rational_values_hash_alike(x):
 
 
 def test_integral_parts_are_ints():
-    # lifted integral values, int arithmetic, and an inverse that is integral
+    # lifted integral values and int arithmetic
     for x in (Qsqrt3(3), Qsqrt3(True), Qsqrt3(Fraction(6, 3), -2),
-              Qsqrt3.coerce(Fraction(-5, 1)), Qsqrt3(2) * Qsqrt3(1, 1) + 4,
-              Qsqrt3(1).inverse(), Qsqrt3(Fraction(-1, 2)).inverse()):
+              Qsqrt3.coerce(Fraction(-5, 1)), Qsqrt3(2) * Qsqrt3(1, 1) + 4):
         assert type(x.rat) is int and type(x.surd) is int
     z = CScalar(1, Fraction(4, 2))
     assert all(type(t) is int for t in (z.re.rat, z.re.surd, z.im.rat, z.im.surd))
@@ -132,15 +115,8 @@ def _parts(x):
     pytest.param(st.tuples(exact_complexes, exact_complexes), id="CScalar"),
 ])
 @given(data=st.data())
-def test_field_operations_keep_parts_exact(pair, data):
+def test_ring_operations_keep_parts_exact(pair, data):
     a, b = data.draw(pair)
-    results = [a * b, a * 3, 2 * b]
-    if b:
-        results += [b.inverse(), a / b, 1 / b, b / b]
-    if a:
-        results.append(b / a)
-    for x in results:
+    for x in (a * b, a * 3, 2 * b):
         for part in _parts(x):
             assert type(part) in (int, Fraction), x
-    if b:
-        assert a / b * b == a
