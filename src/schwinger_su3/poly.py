@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple, TypeVar
 
@@ -313,14 +314,15 @@ class PolyFormatError(ValueError):
 
 
 def _wire_int(r: dict, key: str, default=None) -> int:
-    """An integer field of a term record, given as an int or a decimal string."""
+    """An integer field of a term record, given as an int or as an ASCII
+    decimal string ``-?[0-9]+`` (no blanks, underscores or other digits)."""
     v = r.get(key, default)
     if v is None:
         raise PolyFormatError(f"term record lacks {key!r}")
-    if isinstance(v, str):
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
         try:
             return int(v)
-        except ValueError:
+        except ValueError:  # more digits than the interpreter converts
             pass
     elif isinstance(v, int) and not isinstance(v, bool):
         return v
@@ -359,8 +361,7 @@ def poly_from_records(recs: list) -> Polynomial:
         )
         if m in terms:
             raise PolyFormatError(f"duplicate monomial {m} in serialized polynomial")
-        if c:
-            terms[m] = c
+        terms[m] = c  # zero coefficients go in Polynomial, after the duplicate check
     return Polynomial(terms)
 
 

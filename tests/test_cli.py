@@ -246,10 +246,14 @@ def _run_stdin(text, *argv):
 
 
 def test_malformed_poly_records_exit_2():
+    x = [1, 0, 0, 1, 0, 0]
     for doc in (
-        [{"exps": [1, 0, 0, 1, 0, 0], "num": "1", "den": "0"}],
+        [{"exps": x, "num": "1", "den": "0"}],
         [{"exps": 5, "num": "1", "den": "1"}],
         {"a": 1},
+        # only ASCII -?[0-9]+ strings, although int() takes the first three
+        *([{"exps": x, "num": n, "den": "1"}] for n in (" 7 ", "1_000", "\u0663", "9" * 5000)),
+        [{"exps": x, "num": "0", "den": "1"}, {"exps": x, "num": "1", "den": "1"}],
     ):
         for command in ("project", "map"):
             code, out, err = _run_stdin(json.dumps(doc), command)

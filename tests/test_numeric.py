@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schwinger_su3 import numeric, verify
+from schwinger_su3 import numeric
 from schwinger_su3.basis import traceless_project
 from schwinger_su3.poly import (
     Polynomial,
@@ -216,25 +216,3 @@ def test_act_bargmann_acts_on_each_bidegree_part():
         got = numeric.act_bargmann(a, mixed)
         assert numeric.n_max_abs(numeric.n_add(got, want, -1.0)) < 1e-14
     assert numeric.act_bargmann(numeric.haar_random_su3(0), {}) == {}
-
-
-def _inverse_swapped(original):
-    # A in place of A^-1: a homomorphism turned into an anti-homomorphism
-    return lambda a, p, q: original(a.conj().T, p, q)
-
-
-def _w_unconjugated(original):
-    # B in place of conj(B) on the w variables: z.w is no longer invariant
-    return lambda a, p, q: np.kron(original(a, p, 0), original(a.conj(), 0, q))
-
-
-@pytest.mark.parametrize("mutant, failing", [
-    (_inverse_swapped, "max_representation_defect"),
-    (_w_unconjugated, "max_projection_defect"),
-])
-def test_numeric_suite_fails_on_a_wrong_group_matrix(monkeypatch, mutant, failing):
-    assert verify.suite_numeric_equivariance(samples=2)["passed"]
-    monkeypatch.setattr(numeric, "group_matrix", mutant(numeric.group_matrix))
-    result = verify.suite_numeric_equivariance(samples=2)
-    assert result["passed"] is False
-    assert result[failing] > 1e-3

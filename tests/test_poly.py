@@ -162,3 +162,6 @@ def test_duplicate_record_rejected():
            "surd_num": "0", "surd_den": "1"}
     with pytest.raises(ValueError):
         poly_from_records([rec, rec])
+    # a zero first copy is a duplicate too
+    with pytest.raises(ValueError):
+        poly_from_records([{**rec, "num": "0"}, rec])
