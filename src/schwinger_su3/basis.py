@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .catalog import IrrepLabel, WeightLabel, iy_spectrum, k_of
 from .poly import (
@@ -37,6 +37,9 @@ _KMINUS = sp2r_generator("Kminus")
 _KPLUS = sp2r_generator("Kplus")
 _J0 = sp2r_generator("J0")
 _JMINUS = su2_ladder("Jminus")
+
+# the highest Sp(2,R) level of a key, m = k + TOP_LEVEL
+TOP_LEVEL = 2
 
 # z.w = z1 w1 + z2 w2 + z3 w3 (the K+ multiplier)
 ZW = (
@@ -163,8 +166,8 @@ def basis_state(key: BasisKey) -> NormalizedState:
     return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
 
 
-def enumerate_basis_keys(max_pq: int, extra_m_levels: int = 2) -> Iterator[BasisKey]:
-    """All keys with p + q <= max_pq, every weight, m = k .. k + extra_m_levels."""
+def enumerate_basis_keys(max_pq: int) -> Iterator[BasisKey]:
+    """All keys with p + q <= max_pq, every weight, m = k .. k + TOP_LEVEL."""
     for p in range(max_pq + 1):
         for q in range(max_pq + 1 - p):
             rep = IrrepLabel(p, q)
@@ -172,7 +175,7 @@ def enumerate_basis_keys(max_pq: int, extra_m_levels: int = 2) -> Iterator[Basis
             for top in iy_spectrum(rep):
                 for M2 in range(-top.I2, top.I2 + 1, 2):
                     weight = replace(top, M2=M2)
-                    for level in range(extra_m_levels + 1):
+                    for level in range(TOP_LEVEL + 1):
                         yield BasisKey(rep=rep, weight=weight, m2=k2 + 2 * level)
 
 
@@ -270,24 +273,26 @@ def rational_rank(rows: List[List[RatLike]]) -> int:
     return rank
 
 
-def kminus_kernel_dimension(p: int, q: int) -> int:
-    """Dimension of ker K- inside bidegree (p, q), by exact nullity.
-
-    K- keeps the U(1)^3 charge a - b of z^a w^b, so its matrix from the
-    monomials of bidegree (p, q) to those of (p-1, q-1) splits into one block
-    per charge; the nullity is the sum of the blocks' nullities.
-    """
+def charge_block_rank(p: int, q: int, image: Callable[[Monomial], dict]) -> int:
+    """Rank of a linear map on bidegree (p, q) that keeps the U(1)^3 charge
+    a - b of z^a w^b, such as K- or the trace projector, from the term dict
+    image(m) of each monomial m. Its matrix splits into one block per charge,
+    so the rank is the sum of the blocks' ranks."""
     blocks: Dict[Tuple[int, int, int], List[Monomial]] = {}
     for m in monomials_of_bidegree(p, q):
         blocks.setdefault(charge(m), []).append(m)
-    nullity = 0
+    rank = 0
     for cols in blocks.values():
-        images = [kminus_terms({m: 1}) for m in cols]
-        targets = {t for image in images for t in image}
-        nullity += len(cols) - rational_rank(
-            [[image.get(t, 0) for image in images] for t in targets]
-        )
-    return nullity
+        images = [image(m) for m in cols]
+        targets = {t for im in images for t in im}
+        rank += rational_rank([[im.get(t, 0) for im in images] for t in targets])
+    return rank
+
+
+def kminus_kernel_dimension(p: int, q: int) -> int:
+    """Dimension of ker K- inside bidegree (p, q), by exact nullity."""
+    rank = charge_block_rank(p, q, lambda m: kminus_terms({m: 1}))
+    return math.comb(p + 2, 2) * math.comb(q + 2, 2) - rank
 
 
 # -- serialization ------------------------------------------------------------

@@ -44,10 +44,6 @@ class WeightLabel:
         return Fraction(self.I2, 2)
 
     @property
-    def M(self) -> Fraction:
-        return Fraction(self.M2, 2)
-
-    @property
     def Y(self) -> Fraction:
         return Fraction(self.Y3, 3)
 

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .poly import Monomial, Polynomial, monomial_norm_sq, monomials_of_bidegree, trace_free_terms
+from .poly import Monomial, monomials_of_bidegree, trace_free_terms
 
 NumericPolynomial = Dict[Monomial, complex]
 
@@ -47,11 +47,6 @@ def _check_su3(a: np.ndarray) -> None:
         raise ValueError("matrix determinant is not 1 to tolerance")
 
 
-def from_exact(f: Polynomial) -> NumericPolynomial:
-    """Float shadow of an exact polynomial."""
-    return {m: complex(float(c), 0.0) for m, c in f.terms.items()}
-
-
 def n_add(f: NumericPolynomial, g: NumericPolynomial, scale: complex = 1.0) -> NumericPolynomial:
     out = dict(f)
     for m, c in g.items():
@@ -61,15 +56,6 @@ def n_add(f: NumericPolynomial, g: NumericPolynomial, scale: complex = 1.0) -> N
 
 def n_max_abs(f: NumericPolynomial) -> float:
     return max((abs(c) for c in f.values()), default=0.0)
-
-
-def n_inner(f: NumericPolynomial, g: NumericPolynomial) -> complex:
-    total = 0.0 + 0.0j
-    for m, c in f.items():
-        d = g.get(m)
-        if d is not None:
-            total += np.conj(c) * d * monomial_norm_sq(m)
-    return total
 
 
 def n_traceless_project(f: NumericPolynomial, p: int, q: int) -> NumericPolynomial:

@@ -107,9 +107,6 @@ class Polynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -266,13 +263,6 @@ def trace_free_terms(terms: Terms, p: int, q: int) -> Tuple[Terms, int]:
     return _nonzero(out), den
 
 
-def monomials_of_total_degree(max_degree: int) -> Iterator[Monomial]:
-    """All six-variable monomials with total degree <= max_degree."""
-    for total in range(max_degree + 1):
-        for m in _compositions(total, NVARS):
-            yield m
-
-
 def monomials_of_bidegree(p: int, q: int) -> Iterator[Monomial]:
     """All monomials with z-degree p and w-degree q."""
     for za in _compositions(p, 3):
@@ -367,7 +357,3 @@ def poly_from_records(recs: list) -> Polynomial:
 
 def poly_to_json(f: Polynomial) -> str:
     return json.dumps(poly_to_records(f), separators=(",", ":"))
-
-
-def poly_from_json(s: str) -> Polynomial:
-    return poly_from_records(json.loads(s))

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List
 
 from .basis import (
+    TOP_LEVEL,
     BasisKey,
     NormalizedState,
     ZW,
     basis_state,
+    charge_block_rank,
     cn_coeffs,
     enumerate_basis_keys,
     h0_membership,
@@ -45,11 +48,20 @@ from .operators import (
     su2_ladder,
     su3_generator,
 )
-from .poly import Polynomial, bargmann_inner, monomials_of_bidegree
+from .poly import Polynomial, bargmann_inner, monomials_of_bidegree, trace_free_terms
 from .scalars import CScalar, Qsqrt3
 
 _KMINUS = sp2r_generator("Kminus")
 _KPLUS = sp2r_generator("Kplus")
+
+# the scales no caller varies: criterion 8's bounds on p and q, criterion 9's
+# anchors p + q <= 6, criterion 12's bound on p and q, criterion 11's tolerances
+CG_BOUND = 20
+SPECTRUM_BOUND = 10
+ANCHOR_TOTAL = 6
+CN_BOUND = 8
+PROJECTION_TOL = 1e-10
+REPRESENTATION_TOL = 1e-9
 
 
 class _Tally:
@@ -82,7 +94,7 @@ def _relations(name: str, degree: int, cases) -> Dict:
     return tally.result(name, degree=degree)
 
 
-def suite_su3_closure(degree: int = 6) -> Dict:
+def suite_su3_closure(degree: int) -> Dict:
     """[Q_a, Q_b] = i f_abc Q_c in each sector, on all polynomials of degree <= degree.
 
     Every bilinear kills the constants, so degree 0 would hide any wrong su(3)
@@ -103,7 +115,7 @@ def suite_su3_closure(degree: int = 6) -> Dict:
     return _relations("su3_closure", degree, cases)
 
 
-def suite_sp2r_relations(degree: int = 8) -> Dict:
+def suite_sp2r_relations(degree: int) -> Dict:
     """The sp(2,R) commutation relations, exactly on degree <= degree."""
     J0 = sp2r_generator("J0")
     K1 = sp2r_generator("K1")
@@ -122,7 +134,7 @@ def suite_sp2r_relations(degree: int = 8) -> Dict:
     return _relations("sp2r_relations", degree, cases)
 
 
-def suite_mutual_commutant(degree: int = 8) -> Dict:
+def suite_mutual_commutant(degree: int) -> Dict:
     """[J0 or K1 or K2, Q_alpha] = 0 exactly on degree <= degree."""
     zero = OperatorExpr.zero()
     sp = {which: sp2r_generator(which) for which in ("J0", "K1", "K2")}
@@ -140,14 +152,17 @@ def _predicted_norm_sq(key: BasisKey) -> Fraction:
     )
 
 
-def build_states(max_pq: int, extra_m_levels: int = 2) -> List[NormalizedState]:
-    return [basis_state(k) for k in enumerate_basis_keys(max_pq, extra_m_levels)]
+def build_states(max_pq: int) -> List[NormalizedState]:
+    return [basis_state(k) for k in enumerate_basis_keys(max_pq)]
 
 
-def suite_basis_orthonormality(max_pq: int = 5,
+def suite_basis_orthonormality(max_pq: int,
                                states: List[NormalizedState] | None = None) -> Dict:
     """Closed-form norms vs the Gaussian inner product, pairwise orthogonality,
-    and the d(p,q) state count at m = k."""
+    the d(p,q) state count at m = k, and completeness: a state of level
+    n = m - k has bidegree (p+n, q+n), and each bidegree (P, Q) holds as many
+    states as monomials, C(P+2,2) C(Q+2,2). The corpus stops at level
+    TOP_LEVEL, so only bidegrees with min(P, Q) <= TOP_LEVEL are complete."""
     if states is None:
         states = build_states(max_pq)
     tally = _Tally()
@@ -161,20 +176,22 @@ def suite_basis_orthonormality(max_pq: int = 5,
         pi = states[i].poly
         for j in range(i + 1, len(states)):
             tally(not bargmann_inner(pi, states[j].poly), "overlap", states[i].key, states[j].key)
-    # counting: states at m = k per (p, q) match the dimension formula
+    # counting: states at m = k per (p, q) match the dimension formula, and
+    # states per bidegree the monomials
+    levels = [(st.key.rep, (st.key.m2 - k_of(st.key.rep)) // 2) for st in states]
+    at_k = Counter(rep for rep, n in levels if n == 0)
+    per_bidegree = Counter((rep.p + n, rep.q + n) for rep, n in levels)
     for p in range(max_pq + 1):
         for q in range(max_pq + 1 - p):
             rep = IrrepLabel(p, q)
-            n = sum(
-                1
-                for st in states
-                if st.key.rep == rep and st.key.m2 == k_of(rep)
-            )
-            tally(n == dim(rep), "state count", rep)
+            tally(at_k[rep] == dim(rep), "state count", rep)
+            if min(p, q) <= TOP_LEVEL:
+                tally(per_bidegree[p, q] == math.comb(p + 2, 2) * math.comb(q + 2, 2),
+                      "completeness", p, q)
     return tally.result("basis_orthonormality", states=len(states), max_pq=max_pq)
 
 
-def suite_kminus_annihilation(max_pq: int = 5,
+def suite_kminus_annihilation(max_pq: int,
                               states: List[NormalizedState] | None = None) -> Dict:
     """m = k states are killed by K-; raised states peel back to them exactly.
 
@@ -205,7 +222,7 @@ def suite_kminus_annihilation(max_pq: int = 5,
     return tally.result("kminus_annihilation", max_pq=max_pq)
 
 
-def suite_casimir(max_pq: int = 5, states: List[NormalizedState] | None = None) -> Dict:
+def suite_casimir(max_pq: int, states: List[NormalizedState] | None = None) -> Dict:
     """Casimir eigenvalue k(1-k) on every state, the K+^n K-^n eigenvalue, and
     on each m = k state its labels: J3 = M and Q8 = (sqrt 3/2) Y."""
     if states is None:
@@ -242,13 +259,13 @@ def random_bihomogeneous(p: int, q: int, rng: random.Random) -> Polynomial:
     return Polynomial(terms)
 
 
-def suite_trace_projector(samples: int = 200, max_p: int = 4, max_q: int = 4,
-                          seed: int = 0) -> Dict:
-    """Annihilation, idempotence, z.w divisibility and kernel of the projector."""
+def suite_trace_projector(samples: int, max_each: int, seed: int = 0) -> Dict:
+    """Annihilation, idempotence, z.w divisibility and kernel of the projector,
+    on every bidegree with p, q <= max_each."""
     rng = random.Random(seed)
     tally = _Tally()
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
+    for p in range(max_each + 1):
+        for q in range(max_each + 1):
             for n in range(samples):
                 f = random_bihomogeneous(p, q, rng)
                 f0 = traceless_project(f)
@@ -261,25 +278,33 @@ def suite_trace_projector(samples: int = 200, max_p: int = 4, max_q: int = 4,
     return tally.result("trace_projector", samples=samples)
 
 
-def suite_kernel_dimension(max_p: int = 4, max_q: int = 4) -> Dict:
-    """dim ker K- on bidegree (p, q) equals d(p, q)."""
+def suite_kernel_dimension(max_each: int) -> Dict:
+    """dim ker K- on bidegree (p, q) equals d(p, q), and so does the rank of
+    the trace projector, for p, q <= max_each. K- maps onto bidegree
+    (p-1, q-1), so its nullity alone follows from the monomial counts; the
+    projector's square charge blocks are rank-deficient for p, q >= 1, so
+    their ranks can only come from their entries."""
     tally = _Tally()
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
-            tally(kminus_kernel_dimension(p, q) == dim(IrrepLabel(p, q)), p, q)
-    return tally.result("kernel_dimension", max_p=max_p, max_q=max_q)
+    for p in range(max_each + 1):
+        for q in range(max_each + 1):
+            d = dim(IrrepLabel(p, q))
+            tally(kminus_kernel_dimension(p, q) == d, "K- nullity", p, q)
+            rank = charge_block_rank(p, q, lambda m: trace_free_terms({m: 1}, p, q)[0])
+            tally(rank == d, "projector rank", p, q)
+    return tally.result("kernel_dimension", max_each=max_each)
 
 
-def suite_cg_counting(max_pq_cg: int = 20, max_pq_spectrum: int = 10) -> Dict:
-    """Dimension identities for the CG series and the I-Y spectrum."""
+def suite_cg_counting() -> Dict:
+    """Dimension identities for the CG series (p, q <= CG_BOUND) and the I-Y
+    spectrum (p, q <= SPECTRUM_BOUND)."""
     tally = _Tally()
-    for p in range(max_pq_cg + 1):
-        for q in range(max_pq_cg + 1):
+    for p in range(CG_BOUND + 1):
+        for q in range(CG_BOUND + 1):
             lhs = dim(IrrepLabel(p, 0)) * dim(IrrepLabel(0, q))
             rhs = sum(dim(rep) for rep in cg_series(p, q))
             tally(lhs == rhs, "cg series", p, q)
-    for p in range(max_pq_spectrum + 1):
-        for q in range(max_pq_spectrum + 1):
+    for p in range(SPECTRUM_BOUND + 1):
+        for q in range(SPECTRUM_BOUND + 1):
             rep = IrrepLabel(p, q)
             tally(sum(e.size for e in iy_spectrum(rep)) == dim(rep), "spectrum", rep)
             tally(dim(rep) == dim(IrrepLabel(q, p)), "conjugate", rep)
@@ -296,16 +321,17 @@ def traceless_channel_basis(p: int, q: int) -> List[Polynomial]:
     return out
 
 
-def suite_induced_oracle(max_total: int = 4, max_anchor_total: int = 6) -> Dict:
-    """Tensor-contraction formula vs direct sphere integration, plus the
-    measure anchors: total volume 1/2, the 1/(p+q+2)! channel constant and
-    the vanishing of moments with unequal exponent triples."""
+def suite_induced_oracle(max_total: int) -> Dict:
+    """Tensor-contraction formula vs direct sphere integration on p + q <=
+    max_total, plus the measure anchors: total volume 1/2, the 1/(p+q+2)!
+    channel constant for p + q <= ANCHOR_TOTAL and the vanishing of moments
+    with unequal exponent triples."""
     tally = _Tally()
     # anchor: measure volume
     tally(sphere_monomial_integral((0, 0, 0), (0, 0, 0)) == Fraction(1, 2), "volume")
     # anchor: all-1-upper against all-2-lower configuration
-    for p in range(max_anchor_total + 1):
-        for q in range(max_anchor_total + 1 - p):
+    for p in range(ANCHOR_TOTAL + 1):
+        for q in range(ANCHOR_TOTAL + 1 - p):
             got = sphere_monomial_integral((p, q, 0), (p, q, 0))
             want = Fraction(math.factorial(p) * math.factorial(q),
                             math.factorial(p + q + 2))
@@ -344,20 +370,20 @@ def suite_induced_oracle(max_total: int = 4, max_anchor_total: int = 6) -> Dict:
     return tally.result("induced_oracle")
 
 
-def suite_equivalence_isometry(samples: int = 20, max_p: int = 4, max_q: int = 4,
-                               seed: int = 0) -> Dict:
-    """Inner products are carried exactly onto the sphere by the channel scaling."""
+def suite_equivalence_isometry(samples: int, max_each: int, seed: int = 0) -> Dict:
+    """Inner products are carried exactly onto the sphere by the channel scaling,
+    on trace-free inputs of bidegrees with p, q <= max_each."""
     rng = random.Random(seed)
     tally = _Tally()
     pool: List[Polynomial] = []
     for _ in range(samples):
-        p = rng.randint(0, max_p)
-        q = rng.randint(0, max_q)
+        p = rng.randint(0, max_each)
+        q = rng.randint(0, max_each)
         f = traceless_project(random_bihomogeneous(p, q, rng))
         if rng.random() < 0.5:
             # mix a second channel to exercise the multi-channel path
-            p2 = rng.randint(0, max_p)
-            q2 = rng.randint(0, max_q)
+            p2 = rng.randint(0, max_each)
+            q2 = rng.randint(0, max_each)
             f = f + traceless_project(random_bihomogeneous(p2, q2, rng))
         if f and h0_membership(f):
             pool.append(f)
@@ -371,13 +397,13 @@ def suite_equivalence_isometry(samples: int = 20, max_p: int = 4, max_q: int = 4
     return tally.result("equivalence_isometry", samples=len(pool), seed=seed)
 
 
-def suite_cn_dual_route(max_pq: int = 8) -> Dict:
+def suite_cn_dual_route() -> Dict:
     """The closed-form C_n of ``cn_coeffs`` against the recursion
     n (r+s+n+1) C_n = -(p-r-n+1) (q-s-n+1) C_{n-1}, C_0 = 1: one check per
-    (p, q, r, s)."""
+    (p, q, r, s) with p, q <= CN_BOUND."""
     tally = _Tally()
-    for p in range(max_pq + 1):
-        for q in range(max_pq + 1):
+    for p in range(CN_BOUND + 1):
+        for q in range(CN_BOUND + 1):
             for r in range(p + 1):
                 for s in range(q + 1):
                     rec = [Fraction(1)]
@@ -385,7 +411,7 @@ def suite_cn_dual_route(max_pq: int = 8) -> Dict:
                         rec.append(rec[-1] * Fraction(-(p - r - n + 1) * (q - s - n + 1),
                                                       n * (r + s + n + 1)))
                     tally(cn_coeffs(p, q, r, s) == rec, p, q, r, s)
-    return tally.result("cn_dual_route", max_pq=max_pq)
+    return tally.result("cn_dual_route", max_pq=CN_BOUND)
 
 
 def _nan_max(x: float, y: float) -> float:
@@ -393,8 +419,7 @@ def _nan_max(x: float, y: float) -> float:
     return y if y > x or math.isnan(y) else x
 
 
-def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
-                               proj_tol: float = 1e-10, rep_tol: float = 1e-9) -> Dict:
+def suite_numeric_equivariance(samples: int, seed: int = 0) -> Dict:
     """Projection/action commutation at bidegree (2,2) and the representation
     property on degree <= (3,3), over seeded Haar samples. U(A) acts as one
     matrix per bidegree (numeric.group_matrix)."""
@@ -412,7 +437,7 @@ def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
     for i in range(samples):
         a = numeric.haar_random_su3(seed + i)
         d = float(numeric.equivariance_defect(a, (2, 2)))
-        tally(d <= proj_tol, "projection", seed + i)
+        tally(d <= PROJECTION_TOL, "projection", seed + i)
         max_proj = _nan_max(max_proj, d)
         b = numeric.haar_random_su3(seed + samples + i)
         ab = a @ b
@@ -421,7 +446,7 @@ def suite_numeric_equivariance(samples: int = 100, seed: int = 0,
             lhs = numeric.act_bargmann(a, numeric.act_bargmann(b, f))
             rhs = numeric.act_bargmann(ab, f)
             d = float(numeric.n_max_abs(numeric.n_add(lhs, rhs, -1.0)))
-            tally(d <= rep_tol, "representation", seed + i, m)
+            tally(d <= REPRESENTATION_TOL, "representation", seed + i, m)
             max_rep = _nan_max(max_rep, d)
     return tally.result("numeric_equivariance", max_projection_defect=max_proj,
                         max_representation_defect=max_rep, samples=samples, seed=seed)
@@ -438,11 +463,11 @@ def run_all(max_pq: int = 3, degree: int = 4, samples: int = 20, seed: int = 0,
         suite_basis_orthonormality(max_pq, states=states),
         suite_kminus_annihilation(max_pq, states=states),
         suite_casimir(max_pq, states=states),
-        suite_trace_projector(samples=samples, max_p=3, max_q=3, seed=seed),
-        suite_kernel_dimension(max_p=3, max_q=3),
+        suite_trace_projector(samples=samples, max_each=3, seed=seed),
+        suite_kernel_dimension(max_each=3),
         suite_cg_counting(),
         suite_induced_oracle(max_total=3),
-        suite_equivalence_isometry(samples=samples, max_p=3, max_q=3, seed=seed),
+        suite_equivalence_isometry(samples=samples, max_each=3, seed=seed),
         suite_cn_dual_route(),
     ]
     if numeric_checks:

@@ -1,4 +1,7 @@
-"""Acceptance gate: the twelve primary criteria at their stated scales.
+"""Acceptance gate: the twelve primary criteria at their stated scales. The
+scales a caller varies are written here; those no caller varies are constants
+of verify.py (the CG, spectrum, anchor and C_n bounds and the numeric
+tolerances), which the labels print, and basis.TOP_LEVEL (the m levels).
 
 Each test prints one pass/fail line (visible with pytest -s or on failure)
 and asserts the corresponding verification suite. Run with:
@@ -21,7 +24,7 @@ def _report(num, label, result):
 @pytest.fixture(scope="module")
 def states():
     # shared corpus for criteria 3-5: p+q <= 5, every weight, m in {k, k+1, k+2}
-    return verify.build_states(max_pq=5, extra_m_levels=2)
+    return verify.build_states(max_pq=5)
 
 
 def test_criterion_01_su3_closure():
@@ -68,31 +71,31 @@ def test_criterion_06_trace_projector():
     _report(
         6,
         "trace projector on 200 random polynomials per bidegree <= (4,4)",
-        verify.suite_trace_projector(samples=200, max_p=4, max_q=4, seed=0),
+        verify.suite_trace_projector(samples=200, max_each=4, seed=0),
     )
 
 
 def test_criterion_07_kernel_dimension():
     _report(
         7,
-        "kernel dimension d(p,q) for p,q <= 4",
-        verify.suite_kernel_dimension(max_p=4, max_q=4),
+        "kernel dimension and projector rank d(p,q) for p,q <= 4",
+        verify.suite_kernel_dimension(max_each=4),
     )
 
 
 def test_criterion_08_cg_and_counting():
     _report(
         8,
-        "CG and counting identities, p,q <= 20 and <= 10",
-        verify.suite_cg_counting(max_pq_cg=20, max_pq_spectrum=10),
+        f"CG and counting identities, p,q <= {verify.CG_BOUND} and <= {verify.SPECTRUM_BOUND}",
+        verify.suite_cg_counting(),
     )
 
 
 def test_criterion_09_induced_oracle():
     _report(
         9,
-        "induced inner product oracle, p+q <= 4 with anchors to p+q <= 6",
-        verify.suite_induced_oracle(max_total=4, max_anchor_total=6),
+        f"induced inner product oracle, p+q <= 4 with anchors to p+q <= {verify.ANCHOR_TOTAL}",
+        verify.suite_induced_oracle(max_total=4),
     )
 
 
@@ -100,23 +103,22 @@ def test_criterion_10_equivalence_isometry():
     _report(
         10,
         "equivalence-map isometry on random trace-free inputs <= (4,4)",
-        verify.suite_equivalence_isometry(samples=20, max_p=4, max_q=4, seed=0),
+        verify.suite_equivalence_isometry(samples=20, max_each=4, seed=0),
     )
 
 
 def test_criterion_11_numeric_equivariance():
     _report(
         11,
-        "numeric equivariance, 100 Haar samples",
-        verify.suite_numeric_equivariance(
-            samples=100, seed=0, proj_tol=1e-10, rep_tol=1e-9
-        ),
+        f"numeric equivariance, 100 Haar samples, tolerances {verify.PROJECTION_TOL} "
+        f"and {verify.REPRESENTATION_TOL}",
+        verify.suite_numeric_equivariance(samples=100, seed=0),
     )
 
 
 def test_criterion_12_cn_dual_route():
     _report(
         12,
-        "expansion coefficients, dual derivation routes, p,q <= 8",
-        verify.suite_cn_dual_route(max_pq=8),
+        f"expansion coefficients, dual derivation routes, p,q <= {verify.CN_BOUND}",
+        verify.suite_cn_dual_route(),
     )

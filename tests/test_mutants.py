@@ -4,9 +4,10 @@ unpatched; patched, it fails with the same number of checks (a mutant changes
 verdicts, not the amount checked) and reports the pinned result fields, each
 pinned as a value or a predicate.
 
-No row can pin a Bareiss rank that skips the update on rows whose pivot-column
-entry is 0: it gives the right nullity on every K- charge block up to (6, 6), so
-criterion 7 passes under it. Its guard is
+No row pins a Bareiss rank that skips the update on rows whose pivot-column
+entry is 0: it gives the right rank on every K- and trace-projector charge
+block up to (4, 4), so criterion 7 passes under it at its acceptance scale (the
+projector's rank at (6, 6) is the first it gets wrong). Its guard is
 tests/test_basis.py::test_rational_rank_matches_fraction_elimination.
 """
 
@@ -105,11 +106,18 @@ def _flip_hypercharge(mp):
 
 def _rank_one_short(mp):
     # an elimination that loses one pivot on every matrix of two or more rows;
-    # K- is ranked one U(1)^3 charge block at a time, every block up to (2, 1)
-    # has at most one row, and the charge-0 block of (2, 2), with targets
-    # z_j w_j, is the first with several
+    # the trace projector's charge-0 block of (1, 1), on z_j w_j, is the first
+    # with several
     original = basis.rational_rank
     mp.setattr(basis, "rational_rank", lambda rows: original(rows) - (len(rows) > 1))
+
+
+def _min_rank(mp):
+    # a rank read off the shape alone: right for every K- block, which has full
+    # row rank, but not for the projector's square, rank-deficient blocks. K-
+    # blocks with p = 0 or q = 0 have no rows.
+    mp.setattr(basis, "rational_rank",
+               lambda rows: min(len(rows), len(rows[0])) if rows else 0)
 
 
 def _trace_weight_one_larger(n):
@@ -191,17 +199,20 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
     ("y3-flipped", 5, _flip_hypercharge, lambda: verify.suite_casimir(1),
      {"failures": 6, "first_failure": _prefix("Q8 ")}),
     ("trace-weight-a3", 6, _trace_weight_one_larger(3),
-     lambda: verify.suite_trace_projector(samples=2, max_p=3, max_q=3, seed=0),
+     lambda: verify.suite_trace_projector(samples=2, max_each=3, seed=0),
      {"checks": 114, "failures": 8, "first_failure": "annihilation 3 3 0"}),
-    ("rank-one-short", 7, _rank_one_short, lambda: verify.suite_kernel_dimension(2, 2),
-     {"failures": 1, "first_failure": "2 2"}),
+    ("rank-one-short", 7, _rank_one_short, lambda: verify.suite_kernel_dimension(2),
+     {"failures": 5, "first_failure": "projector rank 1 1"}),
+    # (1, 1), (1, 2), (2, 1) and (2, 2)
+    ("min-rank", 7, _min_rank, lambda: verify.suite_kernel_dimension(2),
+     {"failures": 4, "first_failure": "projector rank 1 1"}),
     ("cg-last-term-dropped", 8, _drop_last_cg_term, verify.suite_cg_counting,
      {"checks": 683, "failures": 400, "first_failure": "cg series 1 1"}),
     ("moment-factorial", 9, _short_moment_factorial,
-     lambda: verify.suite_induced_oracle(max_total=2, max_anchor_total=2),
-     {"failures": 42, "first_failure": "volume"}),
+     lambda: verify.suite_induced_oracle(max_total=2),
+     {"failures": 64, "first_failure": "volume"}),
     ("channel-scale", 10, _wrong_channel_scale,
-     lambda: verify.suite_equivalence_isometry(samples=2, max_p=3, max_q=3, seed=7),
+     lambda: verify.suite_equivalence_isometry(samples=2, max_each=3, seed=7),
      {"checks": 3, "failures": 2, "first_failure": "pair 0 0"}),
     # a NaN fails every per-defect check against the tolerance, and the
     # reported maximum keeps it, although max() alone would drop it
@@ -212,8 +223,8 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
     ("inverse-swapped", 11, _swap_inverse, _numeric,
      {"max_representation_defect": _above(1e-3)}),
     ("w-unconjugated", 11, _unconjugate_w, _numeric, {"max_projection_defect": _above(1e-3)}),
-    ("cn-unsigned", 12, _drop_cn_sign, lambda: verify.suite_cn_dual_route(2),
-     {"failures": 9, "first_failure": "1 1 0 0"}),
+    ("cn-unsigned", 12, _drop_cn_sign, verify.suite_cn_dual_route,
+     {"failures": 1296, "first_failure": "1 1 0 0"}),
 ]
 
 

@@ -20,7 +20,6 @@ from schwinger_su3.poly import (
     Polynomial,
     bargmann_inner,
     monomials_of_bidegree,
-    monomials_of_total_degree,
 )
 from schwinger_su3.scalars import CScalar, Qsqrt3
 
@@ -147,7 +146,8 @@ def test_commutator_defect_detects_wrong_relation():
 def _sweep_defect(X, Y, Z, degree):
     """Reference: [X, Y] - Z applied to every monomial of degree <= degree."""
     op = X.commutator(Y) - Z
-    return [part for m in monomials_of_total_degree(degree)
+    return [part for p in range(degree + 1) for q in range(degree + 1 - p)
+            for m in monomials_of_bidegree(p, q)
             for part in op.apply(Polynomial.monomial(m)) if part]
 
 
