@@ -13,12 +13,11 @@ projector-built states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .catalog import IrrepLabel, WeightLabel, iy_spectrum, k_of
+from .catalog import IrrepLabel, Record, WeightLabel, _set, iy_spectrum, k_of
 from .poly import (
     Monomial,
     Polynomial,
@@ -30,13 +29,17 @@ from .poly import (
     trace_free_terms,
     trace_series,
 )
-from .operators import sp2r_generator, su2_ladder
 from .scalars import Qsqrt3, RatLike
 
-_KMINUS = sp2r_generator("Kminus")
-_KPLUS = sp2r_generator("Kplus")
-_J0 = sp2r_generator("J0")
-_JMINUS = su2_ladder("Jminus")
+
+@lru_cache(maxsize=None)
+def _generator(name: str):
+    """K-, K+, J0 or J- (by ``operators`` name), built on first use, so that
+    trace removal alone never loads ``operators``."""
+    from .operators import sp2r_generator, su2_ladder
+
+    return su2_ladder(name) if name == "Jminus" else sp2r_generator(name)
+
 
 # the highest Sp(2,R) level of a key, m = k + TOP_LEVEL
 TOP_LEVEL = 2
@@ -49,23 +52,25 @@ ZW = (
 )
 
 
-@dataclass(frozen=True)
-class BasisKey:
-    rep: IrrepLabel
-    weight: WeightLabel
-    m2: int
+class BasisKey(Record):
+    __slots__ = ("rep", "weight", "m2")
 
-    def __post_init__(self):
-        k2 = k_of(self.rep)
-        if self.m2 < k2 or (self.m2 - k2) % 2:
-            raise ValueError(f"m2={self.m2} invalid for 2k={k2}")
+    def __init__(self, rep: IrrepLabel, weight: WeightLabel, m2: int):
+        k2 = k_of(rep)
+        if m2 < k2 or (m2 - k2) % 2:
+            raise ValueError(f"m2={m2} invalid for 2k={k2}")
+        _set(self, "rep", rep)
+        _set(self, "weight", weight)
+        _set(self, "m2", m2)
 
 
-@dataclass(frozen=True)
-class NormalizedState:
-    poly: Polynomial
-    norm_sq: Fraction
-    key: BasisKey
+class NormalizedState(Record):
+    __slots__ = ("poly", "norm_sq", "key")
+
+    def __init__(self, poly: Polynomial, norm_sq: Fraction, key: BasisKey):
+        _set(self, "poly", poly)
+        _set(self, "norm_sq", norm_sq)
+        _set(self, "key", key)
 
 
 def cn_coeffs(p: int, q: int, r: int, s: int) -> List[Fraction]:
@@ -161,7 +166,7 @@ def basis_state(key: BasisKey) -> NormalizedState:
     for _ in range((key.m2 - k_of(key.rep)) // 2):
         poly = poly * ZW
     for _ in range((w.I2 - w.M2) // 2):
-        poly = _JMINUS.apply_real(poly)
+        poly = _generator("Jminus").apply_real(poly)
     norm_sq = bargmann_inner(poly, poly).as_fraction()
     return NormalizedState(poly=poly, norm_sq=norm_sq, key=key)
 
@@ -174,7 +179,7 @@ def enumerate_basis_keys(max_pq: int) -> Iterator[BasisKey]:
             k2 = k_of(rep)
             for top in iy_spectrum(rep):
                 for M2 in range(-top.I2, top.I2 + 1, 2):
-                    weight = replace(top, M2=M2)
+                    weight = top.replace(M2=M2)
                     for level in range(TOP_LEVEL + 1):
                         yield BasisKey(rep=rep, weight=weight, m2=k2 + 2 * level)
 
@@ -225,15 +230,16 @@ def zw_cofactor(f: Polynomial) -> Polynomial:
 
 def h0_membership(f: Polynomial) -> bool:
     """True iff the trace contraction d/dz . d/dw annihilates f exactly."""
-    return not _KMINUS.apply_real(f)
+    return not _generator("Kminus").apply_real(f)
 
 
 @lru_cache(maxsize=None)
 def _casimir():
     """(K+K- + K-K+)/2 - J0^2, built and normal-ordered on first use."""
+    kplus, kminus, j0 = map(_generator, ("Kplus", "Kminus", "J0"))
     return (
-        _KPLUS.compose(_KMINUS) + _KMINUS.compose(_KPLUS)
-    ).scale(Fraction(1, 2)) - _J0.compose(_J0)
+        kplus.compose(kminus) + kminus.compose(kplus)
+    ).scale(Fraction(1, 2)) - j0.compose(j0)
 
 
 def sp2r_casimir_check(state: NormalizedState) -> bool:

@@ -6,38 +6,91 @@ Half-integers are stored doubled (I2 = 2I, M2 = 2M) and hypercharge tripled
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import List
+
+# sets a field of a new record, past Record.__setattr__
+_set = object.__setattr__
+
+
+def _by_fields(op):
+    """An ordering of two records of one class by their field tuples."""
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._fields(self), other._fields(other))
+    return compare
+
+
+class Record:
+    """Immutable value whose fields are the names in a subclass's ``__slots__``
+    (two or more), each set once by the subclass's ``__init__`` through
+    ``_set``. Records compare, hash and sort by their field tuple, against
+    records of the same class only."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"record fields are read-only: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, validated again."""
+        return type(self)(**dict(zip(self.__slots__, self._fields(self)), **changes))
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    __lt__ = _by_fields(operator.lt)
+    __le__ = _by_fields(operator.le)
+    __gt__ = _by_fields(operator.gt)
+    __ge__ = _by_fields(operator.ge)
 
 
 class InvalidWeightError(ValueError):
     """Requested (I, Y) or (r, s) does not occur in the given irrep."""
 
 
-@dataclass(frozen=True, order=True)
-class IrrepLabel:
-    p: int
-    q: int
+class IrrepLabel(Record):
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"irrep labels must be nonnegative, got ({self.p},{self.q})")
+    def __init__(self, p: int, q: int):
+        if p < 0 or q < 0:
+            raise ValueError(f"irrep labels must be nonnegative, got ({p},{q})")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
 
-@dataclass(frozen=True, order=True)
-class WeightLabel:
+class WeightLabel(Record):
     """Weight inside an irrep: I2 = 2I, M2 = 2M, Y3 = 3Y plus the (r, s) indices."""
 
-    I2: int
-    M2: int
-    Y3: int
-    r: int
-    s: int
+    __slots__ = ("I2", "M2", "Y3", "r", "s")
 
-    def __post_init__(self):
-        if abs(self.M2) > self.I2 or (self.M2 - self.I2) % 2:
-            raise InvalidWeightError(f"M2={self.M2} invalid for I2={self.I2}")
+    def __init__(self, I2: int, M2: int, Y3: int, r: int, s: int):
+        if abs(M2) > I2 or (M2 - I2) % 2:
+            raise InvalidWeightError(f"M2={M2} invalid for I2={I2}")
+        _set(self, "I2", I2)
+        _set(self, "M2", M2)
+        _set(self, "Y3", Y3)
+        _set(self, "r", r)
+        _set(self, "s", s)
 
     @property
     def I(self) -> Fraction:  # noqa: E743 - domain name

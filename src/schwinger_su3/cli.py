@@ -2,6 +2,10 @@
 equivalence map and the verification harness.
 
 Exit codes: 0 success, 2 argument/validation error, 1 verification failure.
+
+Only ``catalog`` loads with this module; each other command imports the
+modules it runs inside its handler, so ``dim``, ``spectrum``, ``cg``, ``mult``
+and ``table`` start without the exact polynomial stack.
 """
 
 from __future__ import annotations
@@ -12,12 +16,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .basis import (
-    BasisKey,
-    basis_state,
-    state_to_dict,
-    traceless_project,
-)
 from .catalog import (
     SUBGROUPS,
     IrrepLabel,
@@ -28,8 +26,6 @@ from .catalog import (
     k_of,
     weight_from_iy,
 )
-from .induced import TraceConditionError, equivalence_map
-from .poly import Polynomial, PolyFormatError, poly_from_records, poly_to_records
 
 
 class CliError(Exception):
@@ -146,6 +142,8 @@ def cmd_mult(args) -> int:
 
 
 def cmd_state(args) -> int:
+    from .basis import BasisKey, basis_state, state_to_dict
+
     rep = _irrep(args)
     I2 = _parse_scaled(args.I, 2, "I")
     M2 = _parse_scaled(args.M, 2, "M")
@@ -191,7 +189,9 @@ def _state_latex(st) -> str:
     )
 
 
-def _read_poly(args) -> Polynomial:
+def _read_poly(args):
+    from .poly import PolyFormatError, poly_from_records
+
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -207,6 +207,9 @@ def _read_poly(args) -> Polynomial:
 
 
 def cmd_project(args) -> int:
+    from .basis import traceless_project
+    from .poly import Polynomial, poly_to_records
+
     f = _read_poly(args)
     out = Polynomial.zero()
     for part in f.bidegree_split().values():
@@ -216,6 +219,9 @@ def cmd_project(args) -> int:
 
 
 def cmd_map(args) -> int:
+    from .induced import TraceConditionError, equivalence_map
+    from .poly import poly_to_records
+
     f = _read_poly(args)
     try:
         sf = equivalence_map(f)
@@ -253,7 +259,7 @@ def cmd_verify(args) -> int:
         ("--numeric-samples", args.numeric_samples, 1),
         ("--seed", args.seed, 0),
     )
-    from . import verify  # the suites load only for this command
+    from . import verify
 
     suites = verify.run_all(
         max_pq=args.max_pq,

@@ -21,11 +21,11 @@ vanish and same-channel products square the scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from .basis import h0_membership
+from .catalog import Record, _set
 from .poly import Polynomial, charge, monomial_norm_sq
 
 Channel = Tuple[int, int]
@@ -35,12 +35,15 @@ class TraceConditionError(ValueError):
     """Operation requires traceless tensor components."""
 
 
-@dataclass(frozen=True)
-class SphereFunction:
-    poly: Polynomial
-    traceless: bool = False
-    # squared scale per bidegree channel; absent channels scale by 1
-    channel_scale_sq: Dict[Channel, Fraction] = field(default_factory=dict)
+class SphereFunction(Record):
+    __slots__ = ("poly", "traceless", "channel_scale_sq")
+
+    def __init__(self, poly: Polynomial, traceless: bool = False,
+                 channel_scale_sq: Dict[Channel, Fraction] | None = None):
+        _set(self, "poly", poly)
+        _set(self, "traceless", traceless)
+        # squared scale per bidegree channel; absent channels scale by 1
+        _set(self, "channel_scale_sq", {} if channel_scale_sq is None else channel_scale_sq)
 
     def scale_sq(self, channel: Channel) -> Fraction:
         return self.channel_scale_sq.get(channel, Fraction(1))

@@ -32,7 +32,7 @@ from .basis import (
     traceless_project,
     zw_cofactor,
 )
-from .catalog import IrrepLabel, cg_series, dim, iy_spectrum, k_of
+from .catalog import IrrepLabel, cg_series, dim, induced_multiplicity, iy_spectrum, k_of
 from .induced import (
     equivalence_map,
     induced_inner_formula,
@@ -296,7 +296,12 @@ def suite_kernel_dimension(max_each: int) -> Dict:
 
 def suite_cg_counting() -> Dict:
     """Dimension identities for the CG series (p, q <= CG_BOUND) and the I-Y
-    spectrum (p, q <= SPECTRUM_BOUND)."""
+    spectrum (p, q <= SPECTRUM_BOUND), and on that spectrum the induced
+    multiplicities by Frobenius reciprocity: (p, q) occurs in the
+    representation induced from the trivial one of H as often as H fixes a
+    vector of (p, q). U1xU1 fixes the M = 0, Y = 0 states, SU2 the I = 0
+    multiplets and U2 those of them with Y = 0; SO3 fixes a vector exactly when
+    p and q are both even (Weyl's parity rule for SU(3)/SO(3))."""
     tally = _Tally()
     for p in range(CG_BOUND + 1):
         for q in range(CG_BOUND + 1):
@@ -306,8 +311,18 @@ def suite_cg_counting() -> Dict:
     for p in range(SPECTRUM_BOUND + 1):
         for q in range(SPECTRUM_BOUND + 1):
             rep = IrrepLabel(p, q)
-            tally(sum(e.size for e in iy_spectrum(rep)) == dim(rep), "spectrum", rep)
+            spectrum = iy_spectrum(rep)
+            tally(sum(e.size for e in spectrum) == dim(rep), "spectrum", rep)
             tally(dim(rep) == dim(IrrepLabel(q, p)), "conjugate", rep)
+            # each multiplet with integral I holds one M = 0 state
+            fixed = {
+                "U1xU1": sum(e.Y3 == 0 and e.I2 % 2 == 0 for e in spectrum),
+                "SU2": sum(e.I2 == 0 for e in spectrum),
+                "U2": sum(e.I2 == 0 and e.Y3 == 0 for e in spectrum),
+                "SO3": int(p % 2 == 0 and q % 2 == 0),
+            }
+            for subgroup, count in fixed.items():
+                tally(induced_multiplicity(subgroup, rep) == count, "mult", subgroup, p, q)
     return tally.result("cg_counting")
 
 
@@ -411,7 +426,7 @@ def suite_cn_dual_route() -> Dict:
                         rec.append(rec[-1] * Fraction(-(p - r - n + 1) * (q - s - n + 1),
                                                       n * (r + s + n + 1)))
                     tally(cn_coeffs(p, q, r, s) == rec, p, q, r, s)
-    return tally.result("cn_dual_route", max_pq=CN_BOUND)
+    return tally.result("cn_dual_route", max_each=CN_BOUND)
 
 
 def _nan_max(x: float, y: float) -> float:

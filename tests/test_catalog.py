@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -127,3 +129,37 @@ def test_weight_label_validation():
         weight_from_rs(IrrepLabel(1, 0), 2, 0)
     with pytest.raises(InvalidWeightError):
         weight_from_iy(IrrepLabel(1, 0), 1, 0)  # non-integral (r, s)
+
+
+def test_records_are_immutable_values():
+    w = weight_from_rs(IrrepLabel(2, 1), 1, 1)
+    with pytest.raises(AttributeError):
+        w.M2 = 0
+    with pytest.raises(AttributeError):
+        del w.r
+    same = WeightLabel(I2=2, M2=2, Y3=-2, r=1, s=1)
+    assert w == same and hash(w) == hash(same)
+    assert w != (2, 2, -2, 1, 1)
+
+    class Shifted(IrrepLabel):
+        pass
+
+    assert IrrepLabel(1, 0) != Shifted(1, 0) and Shifted(1, 0) != IrrepLabel(1, 0)
+    labels = [IrrepLabel(1, 1), IrrepLabel(0, 2), IrrepLabel(1, 0), IrrepLabel(0, 0)]
+    assert [(r.p, r.q) for r in sorted(labels)] == [(0, 0), (0, 2), (1, 0), (1, 1)]
+    with pytest.raises(TypeError):
+        IrrepLabel(0, 0) < Shifted(0, 1)
+    assert repr(IrrepLabel(1, 2)) == "IrrepLabel(p=1, q=2)"
+    assert repr(w) == "WeightLabel(I2=2, M2=2, Y3=-2, r=1, s=1)"
+    assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+
+
+def test_record_replace_validates_again():
+    w = weight_from_rs(IrrepLabel(1, 1), 1, 0)
+    assert w.replace(M2=-w.I2) == WeightLabel(I2=1, M2=-1, Y3=3, r=1, s=0)
+    with pytest.raises(InvalidWeightError):
+        w.replace(M2=w.I2 + 2)
+    with pytest.raises(ValueError):
+        IrrepLabel(1, 1).replace(q=-1)
+    with pytest.raises(TypeError):
+        w.replace(I=0)

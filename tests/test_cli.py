@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schwinger_su3
-from schwinger_su3 import cli, verify
+from schwinger_su3 import basis, cli, verify
 from schwinger_su3.basis import traceless_project
 from schwinger_su3.poly import Polynomial, poly_from_records, poly_to_records
 from schwinger_su3.scalars import Qsqrt3
@@ -286,13 +286,15 @@ _STARTUP_PROBE = textwrap.dedent("""
     root = sorted(m for m in sys.modules if m.startswith("schwinger_su3."))
     from schwinger_su3 import cli
 
+    WATCHED = ["dataclasses", "numpy"] + [f"schwinger_su3.{m}" for m in (
+        "basis", "induced", "numeric", "operators", "poly", "scalars", "verify")]
+
     def run(*argv, stdin=""):
         sys.stdin = io.StringIO(stdin)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(list(argv))
-        loaded = [m for m in ("numpy", "schwinger_su3.numeric", "schwinger_su3.verify")
-                  if m in sys.modules]
+        loaded = [m for m in WATCHED if m in sys.modules]
         return {"argv": list(argv), "code": code, "out": out.getvalue(),
                 "loaded": loaded}
 
@@ -302,6 +304,8 @@ _STARTUP_PROBE = textwrap.dedent("""
         run("dim", "1", "1"),
         run("cg", "1", "1"),
         run("table", "dims"),
+        run("spectrum", "1", "1"),
+        run("mult", "SO3", "2", "2"),
         run("project", stdin=z1w1),
         run("verify", *small),
         run("verify", "--numeric", *small, "--numeric-samples", "1"),
@@ -310,7 +314,8 @@ _STARTUP_PROBE = textwrap.dedent("""
 
 
 def test_startup_loads_numpy_and_verify_only_on_demand():
-    # a fresh interpreter: this one has numpy and the verify suites loaded already
+    # a fresh interpreter, running the commands in turn: one sees every module
+    # that it or an earlier command loaded
     src = str(Path(schwinger_su3.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -319,15 +324,19 @@ def test_startup_loads_numpy_and_verify_only_on_demand():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["root"] == []  # the package root imports no submodule
-    *short, exact, numeric = doc["runs"]
-    for run in short:
+    *catalog_only, project, exact, numeric = doc["runs"]
+    for run in catalog_only + [project]:
         assert run["code"] == 0 and run["out"], run["argv"]
+    for run in catalog_only:
         assert run["loaded"] == [], run["argv"]
+    assert project["loaded"] == ["schwinger_su3.basis", "schwinger_su3.poly",
+                                 "schwinger_su3.scalars"]
     assert exact["code"] == 0 and json.loads(exact["out"])["pass"] is True
-    assert exact["loaded"] == ["schwinger_su3.verify"]
+    assert "numpy" not in exact["loaded"] and "schwinger_su3.verify" in exact["loaded"]
     assert numeric["code"] == 0 and json.loads(numeric["out"])["pass"] is True
     assert "numeric_equivariance" in numeric["out"]
     assert "numpy" in numeric["loaded"]
+    assert "dataclasses" not in numeric["loaded"]  # so no command loaded it
 
 
 def test_negative_irrep_labels_exit_2(capsys):
@@ -348,7 +357,7 @@ def test_library_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(f):
         raise ValueError("library fault")
 
-    monkeypatch.setattr(cli, "traceless_project", broken)
+    monkeypatch.setattr(basis, "traceless_project", broken)
     _feed_stdin(monkeypatch, Polynomial.variable(1))
     with pytest.raises(ValueError, match="library fault"):
         cli.main(["project", "--input", "-"])

@@ -11,7 +11,6 @@ projector's rank at (6, 6) is the first it gets wrong). Its guard is
 tests/test_basis.py::test_rational_rank_matches_fraction_elimination.
 """
 
-import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -99,7 +98,7 @@ def _flip_hypercharge(mp):
 
     def flipped(rep, r, s, M2=None):
         w = original(rep, r, s, M2=M2)
-        return dataclasses.replace(w, Y3=-w.Y3)
+        return w.replace(Y3=-w.Y3)
 
     mp.setattr(catalog, "weight_from_rs", flipped)
 
@@ -143,13 +142,26 @@ def _drop_last_cg_term(mp):
                lambda p, q: original(p, q)[:-1] if min(p, q) > 0 else original(p, q))
 
 
+def _u1_mult_one_more(mp):
+    # min(p + 2, q + 1) in place of min(p + 1, q + 1) on U1xU1; it differs
+    # where q > p, first at (0, 3)
+    original = verify.induced_multiplicity
+
+    def patched(subgroup, rep):
+        if subgroup == "U1xU1" and (rep.p - rep.q) % 3 == 0:
+            return min(rep.p + 2, rep.q + 1)
+        return original(subgroup, rep)
+
+    mp.setattr(verify, "induced_multiplicity", patched)
+
+
 def _wrong_channel_scale(mp):
     # channels rescaled by sqrt((p+q+1)!) in place of sqrt((p+q+2)!)
     original = verify.equivalence_map
 
     def wrong_scale(f):
         image = original(f)
-        return dataclasses.replace(image, channel_scale_sq={
+        return image.replace(channel_scale_sq={
             (p, q): Fraction(math.factorial(p + q + 1)) for p, q in image.channel_scale_sq})
 
     mp.setattr(verify, "equivalence_map", wrong_scale)
@@ -207,7 +219,9 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
     ("min-rank", 7, _min_rank, lambda: verify.suite_kernel_dimension(2),
      {"failures": 4, "first_failure": "projector rank 1 1"}),
     ("cg-last-term-dropped", 8, _drop_last_cg_term, verify.suite_cg_counting,
-     {"checks": 683, "failures": 400, "first_failure": "cg series 1 1"}),
+     {"checks": 1167, "failures": 400, "first_failure": "cg series 1 1"}),
+    ("u1-mult-one-more", 8, _u1_mult_one_more, verify.suite_cg_counting,
+     {"failures": 15, "first_failure": "mult U1xU1 0 3"}),
     ("moment-factorial", 9, _short_moment_factorial,
      lambda: verify.suite_induced_oracle(max_total=2),
      {"failures": 64, "first_failure": "volume"}),
