@@ -84,12 +84,12 @@ def cn_coeffs(p: int, q: int, r: int, s: int) -> List[Fraction]:
     """
     if not (0 <= r <= p and 0 <= s <= q):
         raise ValueError(f"(r,s)=({r},{s}) outside [0,{p}]x[0,{q}]")
+    # C_n = (-1)^n (p-r)! (q-s)! (r+s+1)! / (n! (p-r-n)! (q-s-n)! (r+s+n+1)!),
+    # one Fraction of two integer products each
     return [
-        Fraction((-1) ** n, math.factorial(n)) * Fraction(
-            math.factorial(p - r) * math.factorial(q - s) * math.factorial(r + s + 1),
-            math.factorial(p - r - n)
-            * math.factorial(q - s - n)
-            * math.factorial(r + s + n + 1),
+        Fraction(
+            (-1) ** n * math.perm(p - r, n) * math.perm(q - s, n) * math.factorial(r + s + 1),
+            math.factorial(n) * math.factorial(r + s + n + 1),
         )
         for n in range(min(p - r, q - s) + 1)
     ]

@@ -1,7 +1,8 @@
 """Command-line surface: tables, state construction, projection, the
 equivalence map and the verification harness.
 
-Exit codes: 0 success, 2 argument/validation error, 1 verification failure.
+Exit codes: 0 success, 2 argument/validation error, 1 verification failure,
+141 (128 + SIGPIPE) when the reader of stdout closed it early.
 
 Only ``catalog`` loads with this module; each other command imports the
 modules it runs inside its handler, so ``dim``, ``spectrum``, ``cg``, ``mult``
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -357,10 +359,20 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so a closed pipe raises below, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: what is still buffered goes to the null device
+        # at exit, and the exit code is the one a SIGPIPE death gives, 128 + 13
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .poly import Monomial, Polynomial
 from .scalars import CScalar, Qsqrt3, INV_SQRT3
@@ -97,18 +97,13 @@ class OperatorExpr:
         """self applied after other (operator product self . other), normal ordered:
         (z^a d^b)(z^g d^e) = sum over k <= min(b, g) of w_k z^(a+g-k) d^(b-k+e),
         with the weights w_k of ``_contractions``."""
-        out: Dict[NormalKey, CScalar] = {}
-        for (a, b), c1 in self.terms.items():
-            for (g, e), c2 in other.terms.items():
-                c = c1 * c2
-                for k, w in _contractions(b, g):
-                    alpha = tuple(x + y - z for x, y, z in zip(a, g, k))
-                    beta = tuple(x - z + y for x, z, y in zip(b, k, e))
-                    _accum(out, (alpha, beta), c if w == 1 else c * w)
-        return OperatorExpr(out)
+        (den_a, a), (den_b, b) = _channels(self), _channels(other)
+        return OperatorExpr(_scalars(den_a * den_b, _product_into({}, a, b, 1)))
 
     def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self.compose(other) - other.compose(self)
+        (den_a, a), (den_b, b) = _channels(self), _channels(other)
+        out = _product_into(_product_into({}, a, b, 1), b, a, -1)
+        return OperatorExpr(_scalars(den_a * den_b, out))
 
     def normal_form(self) -> Dict[NormalKey, CScalar]:
         """Canonical form, all multiplications left of all derivatives: a copy of
@@ -171,9 +166,10 @@ def _unit(mode: int) -> Tuple[int, ...]:
     return tuple(int(j == mode) for j in range(6))
 
 
+@lru_cache(maxsize=None)
 def _contractions(
     b: Tuple[int, ...], g: Tuple[int, ...]
-) -> Iterator[Tuple[Tuple[int, ...], int]]:
+) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """Each k <= min(b, g) with its weight prod_j C(b_j, k_j) g_j!/(g_j - k_j)!:
     the number of ways d^b, moved right through z^g, spends k_j derivatives
     on each z_j^(g_j)."""
@@ -181,8 +177,47 @@ def _contractions(
         [(k, math.comb(x, k) * math.perm(y, k)) for k in range(min(x, y) + 1)]
         for x, y in zip(b, g)
     ]
-    for choice in itertools.product(*per_mode):
-        yield tuple(k for k, _ in choice), math.prod(w for _, w in choice)
+    return tuple((tuple(k for k, _ in choice), math.prod(w for _, w in choice))
+                 for choice in itertools.product(*per_mode))
+
+
+def _channels(op: OperatorExpr) -> Tuple[int, Dict[NormalKey, Tuple[int, ...]]]:
+    """(L, key -> L * (re.rat, re.surd, im.rat, im.surd)): the coefficients as
+    four integer channels over L, the lcm of every part's denominator."""
+    parts = {key: (c.re.rat, c.re.surd, c.im.rat, c.im.surd) for key, c in op.terms.items()}
+    den = math.lcm(*(x.denominator for xs in parts.values() for x in xs))
+    return den, {key: tuple(x.numerator * (den // x.denominator) for x in xs)
+                 for key, xs in parts.items()}
+
+
+def _product_into(out: Dict, a: Dict, b: Dict, sign: int) -> Dict:
+    """Add sign * (a . b) to the channel map out, by ``compose``'s rule.  The
+    channels (c0, c1, c2, c3) stand for (c0 + c1 u) + i (c2 + c3 u), multiplied
+    with u*u = ``Qsqrt3.SQUARE`` and i*i = ``CScalar.SQUARE``, read on each call."""
+    s, t = Qsqrt3.SQUARE, CScalar.SQUARE
+    for (al, be), (p, q, r, v) in a.items():
+        p, q, r, v = sign * p, sign * q, sign * r, sign * v
+        for (ga, ep), (w, x, y, z) in b.items():
+            c = (p * w + s * q * x + t * (r * y + s * v * z),
+                 p * x + q * w + t * (r * z + v * y),
+                 p * y + s * q * z + r * w + s * v * x,
+                 p * z + q * y + r * x + v * w)
+            for k, n in _contractions(be, ga):
+                key = (tuple(e + f - h for e, f, h in zip(al, ga, k)),
+                       tuple(e - h + f for e, h, f in zip(be, k, ep)))
+                acc = out.setdefault(key, [0, 0, 0, 0])
+                for j in range(4):
+                    acc[j] += n * c[j]
+    return out
+
+
+def _scalars(den: int, out: Dict) -> Dict[NormalKey, CScalar]:
+    """The channel map over den as exact coefficients, without its zero terms."""
+    def part(n):
+        return n // den if n % den == 0 else Fraction(n, den)
+
+    return {key: CScalar._of(Qsqrt3._of(part(w), part(x)), Qsqrt3._of(part(y), part(z)))
+            for key, (w, x, y, z) in out.items() if w or x or y or z}
 
 
 # -- Gell-Mann data ------------------------------------------------------------
@@ -349,5 +384,10 @@ def commutator_defect(
     """
     if basis_degree < 0:
         raise ValueError("basis_degree must be nonnegative")
-    defect_op = X.commutator(Y) - Z_expected
-    return [(key, c) for key, c in defect_op.terms.items() if sum(key[1]) <= basis_degree]
+    (dx, x), (dy, y), (dz, z) = map(_channels, (X, Y, Z_expected))
+    den = math.lcm(dx * dy, dz)
+    out = _product_into({}, x, y, den // (dx * dy))
+    _product_into(out, y, x, -den // (dx * dy))
+    _product_into(out, z, {(_ZEROS, _ZEROS): (1, 0, 0, 0)}, -den // dz)  # z . 1 = z
+    low = {key: c for key, c in out.items() if sum(key[1]) <= basis_degree}
+    return list(_scalars(den, low).items())

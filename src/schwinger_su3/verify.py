@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, List
@@ -65,11 +66,15 @@ REPRESENTATION_TOL = 1e-9
 
 
 class _Tally:
-    """Checks and failures of one suite, with the first failing witness; the
-    witness is formatted only when its check fails."""
+    """Checks and failures of one suite, with the first failing witness, and
+    the suite's wall time from the tally's creation; the witness is formatted
+    only when its check fails."""
 
     checks = failures = 0
     first_failure = ""
+
+    def __init__(self):
+        self.start = time.perf_counter()
 
     def __call__(self, ok, *witness) -> None:
         self.checks += 1
@@ -79,15 +84,15 @@ class _Tally:
 
     def result(self, name: str, **sizes) -> Dict:
         out = {"name": name, "passed": self.checks > 0 and self.failures == 0,
-               "checks": self.checks, "failures": self.failures, **sizes}
+               "checks": self.checks, "failures": self.failures, **sizes,
+               "seconds": round(time.perf_counter() - self.start, 4)}
         if self.failures:
             out["first_failure"] = self.first_failure
         return out
 
 
-def _relations(name: str, degree: int, cases) -> Dict:
+def _relations(tally: _Tally, name: str, degree: int, cases) -> Dict:
     """One check of [X, Y] = Z per (witness, X, Y, Z) case; none at degree 0."""
-    tally = _Tally()
     if degree >= 1:
         for witness, x, y, z in cases:
             tally(not commutator_defect(x, y, z, degree), *witness)
@@ -100,6 +105,7 @@ def suite_su3_closure(degree: int) -> Dict:
     Every bilinear kills the constants, so degree 0 would hide any wrong su(3)
     relation; it does not hide the sp(2,R) ones, since J0 carries the constant
     3/2. All three algebra suites still need degree >= 1, the CLI minimum."""
+    tally = _Tally()
     gm = gell_mann()
     cases = []
     for sector in ("a", "b", "total"):
@@ -112,11 +118,12 @@ def suite_su3_closure(degree: int) -> Dict:
                     if f:
                         expected = expected + gens[c].scale(CScalar(0, f))
                 cases.append(((sector, a, b), gens[a], gens[b], expected))
-    return _relations("su3_closure", degree, cases)
+    return _relations(tally, "su3_closure", degree, cases)
 
 
 def suite_sp2r_relations(degree: int) -> Dict:
     """The sp(2,R) commutation relations, exactly on degree <= degree."""
+    tally = _Tally()
     J0 = sp2r_generator("J0")
     K1 = sp2r_generator("K1")
     K2 = sp2r_generator("K2")
@@ -131,16 +138,17 @@ def suite_sp2r_relations(degree: int) -> Dict:
         (("J0", "K-"), J0, Km, Km.scale(-1)),
         (("K+", "K-"), Kp, Km, J0.scale(-2)),
     ]
-    return _relations("sp2r_relations", degree, cases)
+    return _relations(tally, "sp2r_relations", degree, cases)
 
 
 def suite_mutual_commutant(degree: int) -> Dict:
     """[J0 or K1 or K2, Q_alpha] = 0 exactly on degree <= degree."""
+    tally = _Tally()
     zero = OperatorExpr.zero()
     sp = {which: sp2r_generator(which) for which in ("J0", "K1", "K2")}
     cases = [((which, alpha), w, su3_generator(alpha, "total"), zero)
              for which, w in sp.items() for alpha in range(1, 9)]
-    return _relations("mutual_commutant", degree, cases)
+    return _relations(tally, "mutual_commutant", degree, cases)
 
 
 def _predicted_norm_sq(key: BasisKey) -> Fraction:
@@ -163,9 +171,9 @@ def suite_basis_orthonormality(max_pq: int,
     n = m - k has bidegree (p+n, q+n), and each bidegree (P, Q) holds as many
     states as monomials, C(P+2,2) C(Q+2,2). The corpus stops at level
     TOP_LEVEL, so only bidegrees with min(P, Q) <= TOP_LEVEL are complete."""
+    tally = _Tally()
     if states is None:
         states = build_states(max_pq)
-    tally = _Tally()
     # unit norm: stored norm_sq is the exact inner product; confront it with the
     # closed-form normalization constants
     for st in states:
@@ -198,9 +206,9 @@ def suite_kminus_annihilation(max_pq: int,
     The peeling route is independent of the constructive multiply: the trace
     projector certifies f0 = 0 and the cofactor recovers the z.w quotient.
     """
+    tally = _Tally()
     if states is None:
         states = build_states(max_pq)
-    tally = _Tally()
     base_polys = {}
     for st in states:
         if st.key.m2 == k_of(st.key.rep):
@@ -225,10 +233,10 @@ def suite_kminus_annihilation(max_pq: int,
 def suite_casimir(max_pq: int, states: List[NormalizedState] | None = None) -> Dict:
     """Casimir eigenvalue k(1-k) on every state, the K+^n K-^n eigenvalue, and
     on each m = k state its labels: J3 = M and Q8 = (sqrt 3/2) Y."""
+    tally = _Tally()
     if states is None:
         states = build_states(max_pq)
     j3, q8 = su2_ladder("J3"), su3_generator(8)
-    tally = _Tally()
     for st in states:
         tally(sp2r_casimir_check(st), "casimir", st.key)
         rho = (st.key.m2 - k_of(st.key.rep)) // 2
@@ -438,9 +446,9 @@ def suite_numeric_equivariance(samples: int, seed: int = 0) -> Dict:
     """Projection/action commutation at bidegree (2,2) and the representation
     property on degree <= (3,3), over seeded Haar samples. U(A) acts as one
     matrix per bidegree (numeric.group_matrix)."""
+    tally = _Tally()
     from . import numeric  # numpy loads only for this suite
 
-    tally = _Tally()
     max_proj = 0.0
     max_rep = 0.0
     test_monomials = [

@@ -339,6 +339,24 @@ def test_startup_loads_numpy_and_verify_only_on_demand():
     assert "dataclasses" not in numeric["loaded"]  # so no command loaded it
 
 
+@pytest.mark.parametrize("argv", [
+    ("dim", "1", "1"),  # fits the buffer: the guard's flush meets the closed pipe
+    ("table", "dims", "--max-p", "30", "--max-q", "30"),  # print meets it first
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # the parent holds the only read end and closes it before the child can
+    # have written, so every write meets a pipe without a reader
+    src = str(Path(schwinger_su3.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "schwinger_su3.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_negative_irrep_labels_exit_2(capsys):
     for argv in (
         ("dim", "-1", "1"),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -284,6 +285,74 @@ def test_compose_matches_successive_application():
             p = rng.randint(0, degree)
             f = _random_poly(rng, p, degree - p)
             assert x.compose(y).apply_real(f) == x.apply_real(y.apply_real(f))
+
+
+def _compose_reference(x, y):
+    """x . y by the Leibniz rule on the CScalar coefficients themselves: the
+    second route against the integer channels of ``compose``."""
+    out = {}
+    for (a, b), c1 in x.normal_form().items():
+        for (g, e), c2 in y.normal_form().items():
+            c = c1 * c2
+            per_mode = [[(k, math.comb(u, k) * math.perm(v, k)) for k in range(min(u, v) + 1)]
+                        for u, v in zip(b, g)]
+            for choice in itertools.product(*per_mode):
+                k = [kj for kj, _ in choice]
+                key = (tuple(u + v - w for u, v, w in zip(a, g, k)),
+                       tuple(u - w + v for u, w, v in zip(b, k, e)))
+                out[key] = out.get(key, 0) + c * math.prod(w for _, w in choice)
+    return {key: c for key, c in out.items() if c}
+
+
+# all four parts non-zero, over the coprime denominators 3, 7, 11 and 13
+_ODD = CScalar(Qsqrt3(Fraction(2, 3), Fraction(-5, 7)), Qsqrt3(Fraction(3, 11), Fraction(7, 13)))
+
+
+def _kernel_operands():
+    ops = [su3_generator(alpha, sector) for sector in ("a", "b", "total")
+           for alpha in range(1, 9)]
+    ops += [sp2r_generator(w) for w in ("J0", "K1", "K2", "Kplus", "Kminus")]
+    words = [OperatorExpr.word(((DIFF, 0), (MUL, 0), (DIFF, 3), (MUL, 3), (MUL, 0))),
+             OperatorExpr.word(((DIFF, 0), (DIFF, 0), (MUL, 0), (MUL, 0)), Fraction(-3, 5))]
+    return ops + [op.scale(_ODD) for op in ops[::4] + words]
+
+
+def test_compose_matches_the_cscalar_route():
+    for sector in ("a", "b", "total"):
+        gens = [su3_generator(alpha, sector) for alpha in range(1, 9)]
+        for x, y in itertools.product(gens, repeat=2):
+            assert x.compose(y).normal_form() == _compose_reference(x, y)
+    ops = _kernel_operands()
+    for x in ops[-10:]:  # the operators scaled by _ODD
+        for y in ops[::3]:
+            assert x.compose(y).normal_form() == _compose_reference(x, y)
+            assert y.compose(x).normal_form() == _compose_reference(y, x)
+
+
+def test_commutator_defect_matches_the_cscalar_route():
+    gm = gell_mann()
+    q = [su3_generator(alpha, "total") for alpha in range(1, 9)]
+    j0, k1, k2 = (sp2r_generator(w) for w in ("J0", "K1", "K2"))
+    holds = [(q[0], q[1], q[2].scale(CScalar(0, 1))), (k1, k2, j0.scale(CScalar(0, -1))),
+             (q[3], q[4], q[2].scale(CScalar(0, gm.f(4, 5, 3)))
+              + q[7].scale(CScalar(0, gm.f(4, 5, 8))))]
+    ops = _kernel_operands()
+    fails = [(x, y, z.scale(_ODD)) for x, y, z in holds]
+    holds.append((j0, q[4], OperatorExpr.zero()))
+    fails += [(ops[i], ops[-1 - i], ops[i + 5]) for i in range(0, 12, 3)]
+    for cases, passing in ((holds, True), (fails, False)):
+        for x, y, z in cases:
+            assert (commutator_defect(x, y, z, 4) == []) is passing
+            want = _compose_reference(x, y)
+            # X.Y - Y.X - Z
+            for key, c in [*_compose_reference(y, x).items(), *z.normal_form().items()]:
+                want[key] = want.get(key, 0) - c
+            for degree in (0, 1, 2, 4):
+                got = commutator_defect(x, y, z, degree)
+                assert all(isinstance(c, CScalar) for _, c in got)
+                assert dict(got) == {key: c for key, c in want.items()
+                                     if c and sum(key[1]) <= degree}
+                assert len(dict(got)) == len(got)
 
 
 def test_apply_real_rejects_imaginary_output():
