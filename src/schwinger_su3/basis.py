@@ -23,13 +23,15 @@ from .poly import (
     Polynomial,
     bargmann_inner,
     charge,
+    clear_terms,
     kminus_terms,
     monomials_of_bidegree,
     poly_to_records,
+    rebuild_polynomial,
     trace_free_terms,
     trace_series,
 )
-from .scalars import Qsqrt3, RatLike
+from .scalars import RatLike
 
 
 @lru_cache(maxsize=None)
@@ -188,30 +190,20 @@ def enumerate_basis_keys(max_pq: int) -> Iterator[BasisKey]:
 
 
 def _run_trace_kernel(f: Polynomial, kernel) -> Polynomial:
-    """Run a ``poly`` trace kernel, (integer terms, p, q) -> (D h, D), on the
-    rational and the sqrt(3) part of f's coefficients, each cleared to integers
-    over one common denominator L; h / (D L) is that part of the result, an
-    ``int`` where it is integral."""
+    """Run a ``poly`` trace kernel, (integer terms, p, q) -> (D h, D) with D
+    fixed by (p, q), on the rational and the sqrt(3) part of f's coefficients,
+    cleared to integers over one common denominator L; h / (D L) is that part
+    of the result."""
     if not f:
         return f
     pq = f.bidegree()
     if pq is None:
         raise ValueError("polynomial is not bihomogeneous")
     p, q = pq
-    parts = []
-    for part in ("rat", "surd"):
-        fracs = [(m, x) for m, c in f.terms.items() if (x := getattr(c, part))]
-        den = math.lcm(*(x.denominator for _, x in fracs))
-        ints = {m: x.numerator * (den // x.denominator) for m, x in fracs}
-        out, scale = kernel(ints, p, q) if ints else ({}, 1)
-        den *= scale
-        parts.append(
-            {m: c // den if c % den == 0 else Fraction(c, den) for m, c in out.items()}
-        )
-    rat, surd = parts
-    terms = {m: Qsqrt3._of(c, surd.pop(m, 0)) for m, c in rat.items()}
-    terms.update((m, Qsqrt3._of(0, c)) for m, c in surd.items())
-    return Polynomial._of(terms)
+    rat, surd, den = clear_terms(f.terms)
+    rat, scale = kernel(rat, p, q)
+    surd = kernel(surd, p, q)[0] if surd else {}
+    return rebuild_polynomial(rat, surd, den * scale)
 
 
 def traceless_project(f: Polynomial) -> Polynomial:

@@ -3,8 +3,10 @@
 Exact arithmetic cannot reach generic group elements (irrational entries), so
 equivariance and invariance of the construction under finite SU(3) rotations
 is checked here in double precision: Haar-random sampling, the point action
-as one matrix U(A) per bidegree (group_matrix), the tensor transformation rule
-as an independent route, and a float shadow of the traceless projector.
+per bidegree as two factors, Sym^p(B) on z and Sym^q(conj B) on w
+(group_factors, whose Kronecker product is group_matrix), the tensor
+transformation rule as an independent route, and a float shadow of the
+traceless projector.
 """
 
 from __future__ import annotations
@@ -65,61 +67,76 @@ def n_traceless_project(f: NumericPolynomial, p: int, q: int) -> NumericPolynomi
 
 
 def act_bargmann(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
-    """(U(A) f)(z, w) = f(A^-1 z, conj(A^-1) w), one group matrix per bidegree of f."""
+    """(U(A) f)(z, w) = f(A^-1 z, conj(A^-1) w) on each bidegree part of f.
+
+    With the part's coefficients as a matrix F, z-monomials as rows and
+    w-monomials as columns, U(A) = S kron T acts as F -> S F T^T for the
+    factors (S, T) of group_factors."""
     parts: Dict[Tuple[int, int], NumericPolynomial] = {}
     for m, c in f.items():
         parts.setdefault((m[0] + m[1] + m[2], m[3] + m[4] + m[5]), {})[m] = c
     out: NumericPolynomial = {}
     for (p, q), part in parts.items():
         monos, index = _bidegree_basis(p, q)
-        vec = np.zeros(len(monos), dtype=complex)
+        s, t = group_factors(a, p, q)
+        coeffs = np.zeros(len(monos), dtype=complex)
         for m, c in part.items():
-            vec[index[m]] = c
-        for m, c in zip(monos, (group_matrix(a, p, q) @ vec).tolist()):
+            coeffs[index[m]] = c
+        moved = s @ coeffs.reshape(len(s), len(t)) @ t.T
+        for m, c in zip(monos, moved.ravel().tolist()):
             if c != 0.0:
                 out[m] = c
     return out
 
 
-def group_matrix(a: np.ndarray, p: int, q: int) -> np.ndarray:
-    """U(A) on bidegree (p, q) in the order of monomials_of_bidegree(p, q).
-
-    Column j is the image of monomial j under z -> B z, w -> conj(B) w with
-    B = A^-1 = A^dagger, so U(A) = Sym^p(B) kron Sym^q(conj B).
-    """
+def group_factors(a: np.ndarray, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(Sym^p(B), Sym^q(conj B)) with B = A^-1 = A^dagger: column j of each
+    is the image of the j-th z- (or w-) monomial of that degree under
+    z -> B z (or w -> conj(B) w)."""
     b = a.conj().T  # unitary inverse
-    return np.kron(_sym_power(b, p), _sym_power(b.conj(), q))
+    return _sym_power(b, p), _sym_power(b.conj(), q)
+
+
+def group_matrix(a: np.ndarray, p: int, q: int) -> np.ndarray:
+    """U(A) on bidegree (p, q) in the order of monomials_of_bidegree(p, q):
+    the Kronecker product S kron T of the factors (S, T) of group_factors."""
+    s, t = group_factors(a, p, q)
+    n = len(s) * len(t)
+    return (s[:, None, :, None] * t[None, :, None, :]).reshape(n, n)
 
 
 def _sym_power(b: np.ndarray, p: int) -> np.ndarray:
     """Sym^p(B) = S (B^(x)p)[reps].T on the degree-p monomials in three variables.
 
     Row reps[k] of the p-fold Kronecker power expands the product of the
-    linear forms of monomial k over all 3^p index tuples, and S sums each
-    tuple onto its monomial. Only those rows are built, one slot at a time.
+    linear forms of monomial k over all 3^p index tuples t: its entry t is
+    prod_slot B[reps[k, slot], t[slot]], one gather of B and a product over
+    the slots. S sums each tuple onto its monomial.
     """
-    fold, reps = _sym_layout(p)
-    rows = np.ones((len(reps), 1), dtype=complex)
-    for slot in range(p):
-        rows = (rows[:, :, None] * b[reps[:, slot]][:, None, :]).reshape(len(reps), -1)
-    return fold @ rows.T
+    fold, rows, cols = _sym_layout(p)
+    return fold @ b[rows, cols].prod(axis=-1).T
 
 
 @lru_cache(maxsize=None)
-def _sym_layout(p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(S, reps) for degree p. S[k, t] = 1 when index tuple t (base-3 digits,
-    first slot most significant) has the exponents of monomial k; reps[k] is
-    one such tuple. Any one will do: the product of linear forms does not
-    depend on the order of its factors."""
+def _sym_layout(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, rows, cols) for degree p. S[k, t] = 1 when index tuple t (base-3
+    digits, first slot most significant) has the exponents of monomial k;
+    rows[k, 0] is one such tuple (reps[k]; any one will do, since the product
+    of linear forms does not depend on the order of its factors) and
+    cols[0, t] is tuple t, so that B[rows, cols] has shape (k, t, slot)."""
     row = {m[:3]: k for k, m in enumerate(monomials_of_bidegree(p, 0))}
+    tuples = list(itertools.product(range(3), repeat=p))
     fold = np.zeros((len(row), 3 ** p))
     reps = np.zeros((len(row), p), dtype=np.intp)
-    for t, idx in enumerate(itertools.product(range(3), repeat=p)):
+    for t, idx in enumerate(tuples):
         k = row[(idx.count(0), idx.count(1), idx.count(2))]
         fold[k, t] = 1.0
         reps[k] = idx
-    fold.flags.writeable = reps.flags.writeable = False  # shared by every caller
-    return fold, reps
+    rows = reps[:, None, :]
+    cols = np.array(tuples, dtype=np.intp)[None]
+    for arr in (fold, rows, cols):
+        arr.flags.writeable = False  # shared by every caller
+    return fold, rows, cols
 
 
 @lru_cache(maxsize=None)

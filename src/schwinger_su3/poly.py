@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple, TypeVar
 
-from .scalars import Qsqrt3
+from .scalars import Qsqrt3, RatLike
 
 Monomial = Tuple[int, int, int, int, int, int]
 
@@ -133,18 +133,19 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, Qsqrt3)):
             return self.scale(other)
-        out: Dict[Monomial, Qsqrt3] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial._of(out)
+        ra, sa, da = clear_terms(self.terms)
+        rb, sb, db = clear_terms(other.terms)
+        # (Ra + Sa u)(Rb + Sb u) = (Ra Rb + SQUARE Sa Sb) + (Ra Sb + Sa Rb) u,
+        # on integers over da db; an empty channel costs nothing
+        rat = _convolve({}, ra, rb)
+        if sa and sb:
+            _convolve(rat, {m: Qsqrt3.SQUARE * c for m, c in sa.items()}, sb)
+        surd: Terms = {}
+        if sb:
+            _convolve(surd, ra, sb)
+        if sa:
+            _convolve(surd, sa, rb)
+        return rebuild_polynomial(rat, surd, da * db)
 
     __rmul__ = __mul__
 
@@ -181,6 +182,44 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
+# -- integer channels --------------------------------------------------------------
+
+
+def clear_terms(terms: Dict[Monomial, Qsqrt3]) -> Tuple[Terms, Terms, int]:
+    """(R, S, L): the rational and the sqrt(3) parts of the coefficients as
+    integer term dicts over one common denominator L, so that each coefficient
+    is (R[m] + S[m] sqrt 3) / L; a zero part has no entry."""
+    den = math.lcm(*(x.denominator for c in terms.values() for x in (c.rat, c.surd)
+                     if type(x) is not int))
+    rat = {m: x.numerator * (den // x.denominator) for m, c in terms.items() if (x := c.rat)}
+    surd = {m: x.numerator * (den // x.denominator) for m, c in terms.items() if (x := c.surd)}
+    return rat, surd, den
+
+
+def rebuild_polynomial(rat: Terms, surd: Terms, den: int) -> Polynomial:
+    """Inverse of ``clear_terms``: the polynomial with coefficients
+    (rat[m] + surd[m] sqrt 3) / den, each part an ``int`` where it is integral
+    and a ``Fraction`` otherwise; zero coefficients go. Consumes ``surd``."""
+
+    def part(c: int) -> RatLike:
+        return c // den if c % den == 0 else Fraction(c, den)
+
+    of = Qsqrt3._of
+    terms = {m: of(part(c), part(surd.pop(m, 0))) for m, c in rat.items() if c}
+    terms.update((m, of(0, part(c))) for m, c in surd.items() if c)
+    return Polynomial._of(terms)
+
+
+def _convolve(out: Terms, a: Terms, b: Terms) -> Terms:
+    """Add the product of the integer term dicts a and b into out."""
+    get = out.get
+    for (a1, a2, a3, a4, a5, a6), x in a.items():
+        for (b1, b2, b3, b4, b5, b6), y in b.items():
+            m = (a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6)
+            out[m] = get(m, 0) + x * y
+    return out
+
+
 def bargmann_inner(f: Polynomial, g: Polynomial) -> Qsqrt3:
     """Exact Gaussian inner product <f, g>.
 
@@ -208,22 +247,31 @@ def _nonzero(terms: Terms) -> Terms:
 def kminus_terms(terms: Terms) -> Terms:
     """K- = sum_j d/dz_j d/dw_j on a term dict."""
     out: Terms = {}
-    for m, c in terms.items():
-        for j in range(3):
-            a, b = m[j], m[j + 3]
-            if a and b:
-                t = m[:j] + (a - 1,) + m[j + 1:j + 3] + (b - 1,) + m[j + 4:]
-                out[t] = out.get(t, 0) + a * b * c
+    get = out.get
+    for (a1, a2, a3, b1, b2, b3), c in terms.items():
+        if a1 and b1:
+            t = (a1 - 1, a2, a3, b1 - 1, b2, b3)
+            out[t] = get(t, 0) + a1 * b1 * c
+        if a2 and b2:
+            t = (a1, a2 - 1, a3, b1, b2 - 1, b3)
+            out[t] = get(t, 0) + a2 * b2 * c
+        if a3 and b3:
+            t = (a1, a2, a3 - 1, b1, b2, b3 - 1)
+            out[t] = get(t, 0) + a3 * b3 * c
     return _nonzero(out)
 
 
 def zw_mul_terms(terms: Terms) -> Terms:
     """(z.w) f = sum_j z_j w_j f on a term dict."""
     out: Terms = {}
-    for m, c in terms.items():
-        for j in range(3):
-            t = m[:j] + (m[j] + 1,) + m[j + 1:j + 3] + (m[j + 3] + 1,) + m[j + 4:]
-            out[t] = out.get(t, 0) + c
+    get = out.get
+    for (a1, a2, a3, b1, b2, b3), c in terms.items():
+        t = (a1 + 1, a2, a3, b1 + 1, b2, b3)
+        out[t] = get(t, 0) + c
+        t = (a1, a2 + 1, a3, b1, b2 + 1, b3)
+        out[t] = get(t, 0) + c
+        t = (a1, a2, a3 + 1, b1, b2, b3 + 1)
+        out[t] = get(t, 0) + c
     return _nonzero(out)
 
 

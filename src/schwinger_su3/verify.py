@@ -380,16 +380,15 @@ def suite_induced_oracle(max_total: int) -> Dict:
                           "oracle", p, q)
     # cross-bidegree orthogonality of traceless functions
     chans = [(p, q) for p in range(3) for q in range(3)]
-    reps = {c: traceless_channel_basis(*c) for c in chans}
+    reps = {c: [make_sphere_function(f) for f in traceless_channel_basis(*c)[:3]]
+            for c in chans}
     for c1 in chans:
         for c2 in chans:
             if c1 >= c2:
                 continue
-            for f in reps[c1][:3]:
-                for g in reps[c2][:3]:
-                    tally(not sphere_inner_direct(make_sphere_function(f),
-                                                  make_sphere_function(g)),
-                          "cross-bidegree", c1, c2)
+            for phi in reps[c1]:
+                for psi in reps[c2]:
+                    tally(not sphere_inner_direct(phi, psi), "cross-bidegree", c1, c2)
     return tally.result("induced_oracle")
 
 

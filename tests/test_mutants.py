@@ -15,7 +15,6 @@ import functools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from schwinger_su3 import basis, catalog, induced, numeric, poly, verify
@@ -169,15 +168,15 @@ def _wrong_channel_scale(mp):
 
 def _swap_inverse(mp):
     # A in place of A^-1: a homomorphism turned into an anti-homomorphism
-    original = numeric.group_matrix
-    mp.setattr(numeric, "group_matrix", lambda a, p, q: original(a.conj().T, p, q))
+    original = numeric.group_factors
+    mp.setattr(numeric, "group_factors", lambda a, p, q: original(a.conj().T, p, q))
 
 
 def _unconjugate_w(mp):
     # B in place of conj(B) on the w variables: z.w is no longer invariant
-    original = numeric.group_matrix
-    mp.setattr(numeric, "group_matrix",
-               lambda a, p, q: np.kron(original(a, p, 0), original(a.conj(), 0, q)))
+    original = numeric.group_factors
+    mp.setattr(numeric, "group_factors",
+               lambda a, p, q: (original(a, p, q)[0], original(a.conj(), p, q)[1]))
 
 
 _closure = functools.partial(verify.suite_su3_closure, 1)

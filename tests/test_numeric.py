@@ -215,3 +215,28 @@ def test_act_bargmann_acts_on_each_bidegree_part():
         got = numeric.act_bargmann(a, mixed)
         assert numeric.n_max_abs(numeric.n_add(got, want, -1.0)) < 1e-14
     assert numeric.act_bargmann(numeric.haar_random_su3(0), {}) == {}
+
+
+def test_group_matrix_is_the_kronecker_product_of_the_factors():
+    for seed in range(3):
+        a = numeric.haar_random_su3(seed)
+        for p, q in BIDEGREES:
+            s, t = numeric.group_factors(a, p, q)
+            assert np.array_equal(numeric.group_matrix(a, p, q), np.kron(s, t))
+
+
+def test_act_bargmann_matches_the_group_matrix_on_mixed_bidegrees():
+    mixed = {
+        m: complex(k % 5 - 2, (k % 3) / 4)
+        for p, q in ((0, 0), (1, 2), (2, 1), (3, 3))
+        for k, m in enumerate(monomials_of_bidegree(p, q))
+    }
+    for seed in range(5):
+        a = numeric.haar_random_su3(seed)
+        got = numeric.act_bargmann(a, mixed)
+        for p, q in ((0, 0), (1, 2), (2, 1), (3, 3)):
+            monos = list(monomials_of_bidegree(p, q))
+            vec = np.array([mixed[m] for m in monos])
+            want = numeric.group_matrix(a, p, q) @ vec
+            assert all(abs(got.get(m, 0.0) - c) < 1e-13 for m, c in zip(monos, want))
+        assert set(got) <= set(mixed)

@@ -10,11 +10,13 @@ from schwinger_su3.operators import DIFF, MUL, OperatorExpr
 from schwinger_su3.poly import (
     Polynomial,
     bargmann_inner,
+    kminus_terms,
     monomial_norm_sq,
     monomials_of_bidegree,
     poly_from_records,
     poly_to_json,
     poly_to_records,
+    zw_mul_terms,
 )
 from schwinger_su3.scalars import Qsqrt3
 
@@ -28,6 +30,9 @@ W3 = Polynomial.variable(6)
 monomials = st.tuples(*([st.integers(0, 3)] * 6))
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.dictionaries(monomials, coefficients, max_size=6).map(Polynomial)
+surd_polys = st.dictionaries(
+    monomials, st.builds(Qsqrt3, coefficients, coefficients), max_size=6
+).map(Polynomial)
 
 
 def mode_mul(f, j):
@@ -165,3 +170,108 @@ def test_duplicate_record_rejected():
     # a zero first copy is a duplicate too
     with pytest.raises(ValueError):
         poly_from_records([{**rec, "num": "0"}, rec])
+
+
+def _mul_reference(f, g):
+    """The product term pair by term pair in Qsqrt3 arithmetic."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            c = c1 * c2
+            s = out.get(m)
+            s = c if s is None else s + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return Polynomial(out)
+
+
+def _canonical(f):
+    """Nonzero coefficients whose parts are ints exactly where integral."""
+    return all(
+        c and all(type(x) is int or x.denominator != 1 for x in (c.rat, c.surd))
+        for c in f.terms.values()
+    )
+
+
+@given(st.one_of(polys, surd_polys), st.one_of(polys, surd_polys))
+def test_product_matches_the_pairwise_route(f, g):
+    got = f * g
+    assert got == _mul_reference(f, g)
+    assert _canonical(got)
+
+
+def test_product_examples():
+    r3 = Qsqrt3(0, 1)
+    third, seventh = Fraction(1, 3), Fraction(1, 7)
+    cases = [
+        # coprime denominators on both sides
+        (Z1.scale(Fraction(2, 7)) + W2.scale(Fraction(5, 11)),
+         Z3.scale(Fraction(3, 13)) + W1.scale(Qsqrt3(Fraction(1, 5), Fraction(4, 9)))),
+        # sqrt 3 parts on both sides: (1 + sqrt 3)(1 - sqrt 3) = -2 loses its
+        # surd part, and sqrt 3 * sqrt 3 = 3 gains a rational one
+        (Z1.scale(Qsqrt3(1, 1)) + Z2.scale(r3), Z1.scale(Qsqrt3(1, -1)) + Z2.scale(r3)),
+        # terms that cancel: (z1 + w1)(z1 - w1) has no z1 w1 term
+        (Z1 + W1, Z1 - W1),
+        (Z1.scale(Qsqrt3(third, seventh)) + W1, Z1.scale(Qsqrt3(third, -seventh)) - W1),
+    ]
+    for f, g in cases:
+        assert f * g == _mul_reference(f, g) == g * f
+        assert _canonical(f * g)
+    assert ((Z1 + W1) * (Z1 - W1)).coefficient((1, 0, 0, 1, 0, 0)) == 0
+    lead = (Z1.scale(Qsqrt3(1, 1)) * Z1.scale(Qsqrt3(1, -1))).coefficient((2, 0, 0, 0, 0, 0))
+    assert lead == -2 and type(lead.rat) is int and lead.surd == 0
+
+
+@given(st.one_of(polys, surd_polys))
+def test_product_with_zero_and_constant_factors(f):
+    zero = Polynomial.zero()
+    assert f * zero == zero * f == zero
+    c = Qsqrt3(Fraction(2, 3), Fraction(-1, 5))
+    assert Polynomial.constant(c) * f == f * Polynomial.constant(c) == f.scale(c)
+    assert Polynomial.constant(1) * f == f
+
+
+def test_product_reads_the_field_constant_at_call_time(monkeypatch):
+    f = Z1.scale(Qsqrt3(1, 1))
+    monkeypatch.setattr(Qsqrt3, "SQUARE", 2)
+    assert (f * f).coefficient((2, 0, 0, 0, 0, 0)) == Qsqrt3(3, 2)
+    assert f * f == _mul_reference(f, f)
+
+
+def _kminus_slicing(terms):
+    """K- on a term dict, each target built by slicing the monomial."""
+    out = {}
+    for m, c in terms.items():
+        for j in range(3):
+            a, b = m[j], m[j + 3]
+            if a and b:
+                t = m[:j] + (a - 1,) + m[j + 1:j + 3] + (b - 1,) + m[j + 4:]
+                out[t] = out.get(t, 0) + a * b * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _zw_mul_slicing(terms):
+    """(z.w) f on a term dict, each target built by slicing the monomial."""
+    out = {}
+    for m, c in terms.items():
+        for j in range(3):
+            t = m[:j] + (m[j] + 1,) + m[j + 1:j + 3] + (m[j + 3] + 1,) + m[j + 4:]
+            out[t] = out.get(t, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def test_trace_kernel_steps_match_the_slicing_route():
+    for p in range(5):
+        for q in range(5):
+            monos = list(monomials_of_bidegree(p, q))
+            whole_int = {m: (-1) ** k * (k + 1) for k, m in enumerate(monos)}
+            whole_complex = {m: complex(k - 2.5, 0.5 * k) for k, m in enumerate(monos)}
+            inputs = [whole_int, whole_complex]
+            for m in monos:
+                inputs += [{m: 3}, {m: 0.5 - 1.5j}]
+            for terms in inputs:
+                assert kminus_terms(terms) == _kminus_slicing(terms)
+                assert zw_mul_terms(terms) == _zw_mul_slicing(terms)
