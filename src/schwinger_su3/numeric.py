@@ -4,9 +4,8 @@ Exact arithmetic cannot reach generic group elements (irrational entries), so
 equivariance and invariance of the construction under finite SU(3) rotations
 is checked here in double precision: Haar-random sampling, the point action
 per bidegree as two factors, Sym^p(B) on z and Sym^q(conj B) on w
-(group_factors, whose Kronecker product is group_matrix), the tensor
-transformation rule as an independent route, and a float shadow of the
-traceless projector.
+(group_factors, whose Kronecker product is group_matrix), and a float shadow
+of the traceless projector.
 """
 
 from __future__ import annotations
@@ -47,17 +46,6 @@ def _check_su3(a: np.ndarray) -> None:
         raise ValueError("matrix is not unitary to tolerance")
     if abs(np.linalg.det(a) - 1) > UNITARITY_TOL:
         raise ValueError("matrix determinant is not 1 to tolerance")
-
-
-def n_add(f: NumericPolynomial, g: NumericPolynomial, scale: complex = 1.0) -> NumericPolynomial:
-    out = dict(f)
-    for m, c in g.items():
-        out[m] = out.get(m, 0.0) + scale * c
-    return out
-
-
-def n_max_abs(f: NumericPolynomial) -> float:
-    return max((abs(c) for c in f.values()), default=0.0)
 
 
 def n_traceless_project(f: NumericPolynomial, p: int, q: int) -> NumericPolynomial:
@@ -146,84 +134,18 @@ def _bidegree_basis(p: int, q: int) -> Tuple[Tuple[Monomial, ...], Dict[Monomial
     return monos, {m: k for k, m in enumerate(monos)}
 
 
-def tensor_transform(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
-    """Transform bidegree-(p,q) coefficients by the p-fold A, q-fold conj(A) rule.
-
-    Implemented through the dense symmetric tensor (with multinomial weights),
-    independently of group_matrix, so the two can be played against each other.
-    """
-    p, q = _bidegree(f)
-    if p + q == 0:
-        return dict(f)
-    shape = (3,) * (p + q)
-    tensor = np.zeros(shape, dtype=complex)
-    for m, c in f.items():
-        weight = _tensor_weight(m, p, q)
-        for idx in _index_tuples(m):
-            tensor[idx] = c / weight
-    # contract each upper slot with A and each lower slot with conj(A)
-    for slot in range(p):
-        tensor = np.tensordot(a, tensor, axes=([1], [slot]))
-        tensor = np.moveaxis(tensor, 0, slot)
-    for slot in range(p, p + q):
-        tensor = np.tensordot(a.conj(), tensor, axes=([1], [slot]))
-        tensor = np.moveaxis(tensor, 0, slot)
-    out: NumericPolynomial = {}
-    for m in monomials_of_bidegree(p, q):
-        idx = next(_index_tuples(m))
-        c = tensor[idx] * _tensor_weight(m, p, q)
-        if c != 0.0:
-            out[m] = c
-    return out
-
-
-def _bidegree(f: NumericPolynomial) -> Tuple[int, int]:
-    degs = {(m[0] + m[1] + m[2], m[3] + m[4] + m[5]) for m in f}
-    if len(degs) != 1:
-        raise ValueError("numeric polynomial is not bihomogeneous")
-    return degs.pop()
-
-
-def _tensor_weight(m: Monomial, p: int, q: int) -> float:
-    """Monomial coefficient = multinomial(p; a) * multinomial(q; b) * tensor value."""
-    wa = math.factorial(p)
-    for e in m[:3]:
-        wa //= math.factorial(e)
-    wb = math.factorial(q)
-    for e in m[3:]:
-        wb //= math.factorial(e)
-    return float(wa * wb)
-
-
-def _index_tuples(m: Monomial):
-    """All index placements of a monomial: first the sorted one, then the rest."""
-    upper = []
-    for j in range(3):
-        upper += [j] * m[j]
-    lower = []
-    for j in range(3):
-        lower += [j] * m[j + 3]
-    seen = set()
-    for pu in itertools.permutations(upper):
-        for pl in itertools.permutations(lower):
-            idx = pu + pl
-            if idx not in seen:
-                seen.add(idx)
-                yield idx
-
-
 def equivariance_defect(a: np.ndarray, bidegree: Tuple[int, int]) -> float:
     """max |P U(A) - U(A) P| on bidegree (p, q), P the float trace-removal
     projector: column j compares project(U(A) e_j) with U(A) project(e_j) for
     monomial e_j of the bidegree."""
     p, q = bidegree
-    proj = _projector_matrix(p, q)
+    proj = projector_matrix(p, q)
     u = group_matrix(a, p, q)
     return float(np.max(np.abs(proj @ u - u @ proj)))
 
 
 @lru_cache(maxsize=None)
-def _projector_matrix(p: int, q: int) -> np.ndarray:
+def projector_matrix(p: int, q: int) -> np.ndarray:
     """Float matrix of the trace-removal projector on bidegree (p, q)."""
     monos, index = _bidegree_basis(p, q)
     proj = np.zeros((len(monos), len(monos)))

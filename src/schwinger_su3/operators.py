@@ -384,10 +384,5 @@ def commutator_defect(
     """
     if basis_degree < 0:
         raise ValueError("basis_degree must be nonnegative")
-    (dx, x), (dy, y), (dz, z) = map(_channels, (X, Y, Z_expected))
-    den = math.lcm(dx * dy, dz)
-    out = _product_into({}, x, y, den // (dx * dy))
-    _product_into(out, y, x, -den // (dx * dy))
-    _product_into(out, z, {(_ZEROS, _ZEROS): (1, 0, 0, 0)}, -den // dz)  # z . 1 = z
-    low = {key: c for key, c in out.items() if sum(key[1]) <= basis_degree}
-    return list(_scalars(den, low).items())
+    defect = X.commutator(Y) - Z_expected
+    return [(key, c) for key, c in defect.terms.items() if sum(key[1]) <= basis_degree]

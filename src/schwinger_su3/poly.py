@@ -133,6 +133,8 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, Qsqrt3)):
             return self.scale(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         ra, sa, da = clear_terms(self.terms)
         rb, sb, db = clear_terms(other.terms)
         # (Ra + Sa u)(Rb + Sb u) = (Ra Rb + SQUARE Sa Sb) + (Ra Sb + Sa Rb) u,

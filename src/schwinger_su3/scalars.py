@@ -52,7 +52,7 @@ class _QuadraticExtension:
 
     SQUARE: int
 
-    def __init__(self, a=0, b=None):
+    def __init__(self, a, b=None):
         lift = self._lift
         object.__setattr__(self, "a", lift(a))
         object.__setattr__(self, "b", self._ZERO if b is None else lift(b))
@@ -161,9 +161,6 @@ class Qsqrt3(_QuadraticExtension):
             raise ValueError(f"{self!r} has an irrational part")
         return Fraction(self.rat)
 
-    def __float__(self) -> float:
-        return float(self.rat) + float(self.surd) * 3.0 ** 0.5
-
 
 # 1/sqrt(3) = sqrt(3)/3
 INV_SQRT3 = Qsqrt3(0, Fraction(1, 3))
@@ -177,6 +174,3 @@ class CScalar(_QuadraticExtension):
     _ZERO = Qsqrt3(0)
     _lift = staticmethod(Qsqrt3.coerce)
     re, im = _QuadraticExtension.a, _QuadraticExtension.b
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))

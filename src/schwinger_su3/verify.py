@@ -442,9 +442,10 @@ def _nan_max(x: float, y: float) -> float:
 
 
 def suite_numeric_equivariance(samples: int, seed: int = 0) -> Dict:
-    """Projection/action commutation at bidegree (2,2) and the representation
-    property on degree <= (3,3), over seeded Haar samples. U(A) acts as one
-    matrix per bidegree (numeric.group_matrix)."""
+    """The float projector at bidegree (2,2), its commutation with the action
+    there, and the representation property on degree <= (3,3), over seeded
+    Haar samples. U(A) acts on each test monomial through the factored
+    numeric.act_bargmann, F -> S F T^T."""
     tally = _Tally()
     from . import numeric  # numpy loads only for this suite
 
@@ -456,6 +457,12 @@ def suite_numeric_equivariance(samples: int, seed: int = 0) -> Dict:
         for q in range(4)
         for m in list(monomials_of_bidegree(p, q))[:2]
     ]
+    if samples > 0:
+        # (2,2) = (2,2) + (1,1) + (0,0), each irrep once, so P is the only
+        # idempotent of trace 27 that commutes with every U(A)
+        proj = numeric.projector_matrix(2, 2)
+        tally(abs(proj @ proj - proj).max() <= PROJECTION_TOL
+              and abs(proj.trace() - dim(IrrepLabel(2, 2))) <= PROJECTION_TOL, "projector")
     for i in range(samples):
         a = numeric.haar_random_su3(seed + i)
         d = float(numeric.equivariance_defect(a, (2, 2)))
@@ -467,7 +474,8 @@ def suite_numeric_equivariance(samples: int, seed: int = 0) -> Dict:
             f = {m: 1.0 + 0.0j}
             lhs = numeric.act_bargmann(a, numeric.act_bargmann(b, f))
             rhs = numeric.act_bargmann(ab, f)
-            d = float(numeric.n_max_abs(numeric.n_add(lhs, rhs, -1.0)))
+            d = max((abs(lhs.get(t, 0.0) - rhs.get(t, 0.0)) for t in {**lhs, **rhs}),
+                    default=0.0)
             tally(d <= REPRESENTATION_TOL, "representation", seed + i, m)
             max_rep = _nan_max(max_rep, d)
     return tally.result("numeric_equivariance", max_projection_defect=max_proj,

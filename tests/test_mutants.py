@@ -15,6 +15,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schwinger_su3 import basis, catalog, induced, numeric, poly, verify
@@ -179,6 +180,16 @@ def _unconjugate_w(mp):
                lambda a, p, q: (original(a, p, q)[0], original(a.conj(), p, q)[1]))
 
 
+def _identity_projector(mp):
+    original = numeric.projector_matrix
+    mp.setattr(numeric, "projector_matrix", lambda p, q: np.eye(len(original(p, q))))
+
+
+def _double_projector(mp):
+    original = numeric.projector_matrix
+    mp.setattr(numeric, "projector_matrix", lambda p, q: 2 * original(p, q))
+
+
 _closure = functools.partial(verify.suite_su3_closure, 1)
 _sp2r = functools.partial(verify.suite_sp2r_relations, 1)
 _numeric = functools.partial(verify.suite_numeric_equivariance, samples=2)
@@ -236,6 +247,12 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
     ("inverse-swapped", 11, _swap_inverse, _numeric,
      {"max_representation_defect": _above(1e-3)}),
     ("w-unconjugated", 11, _unconjugate_w, _numeric, {"max_projection_defect": _above(1e-3)}),
+    # I and 2P commute with every U(A) too; only idempotence and trace 27 tell
+    # them from P
+    ("projector-identity", 11, _identity_projector, _numeric,
+     {"failures": 1, "first_failure": "projector"}),
+    ("projector-doubled", 11, _double_projector, _numeric,
+     {"failures": 1, "first_failure": "projector"}),
     ("cn-unsigned", 12, _drop_cn_sign, verify.suite_cn_dual_route,
      {"failures": 1296, "first_failure": "1 1 0 0"}),
 ]

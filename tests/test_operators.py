@@ -35,6 +35,12 @@ ZW = (
     + Polynomial.monomial((0, 0, 1, 0, 0, 1))
 )
 
+
+def _float(x):
+    """The float value of a Qsqrt3, from its parts."""
+    return float(x.rat) + float(x.surd) * 3.0 ** 0.5
+
+
 # anchor values of the antisymmetric structure constants, as tabulated in
 # every textbook treatment of the lambda matrices
 _F_TABLE = {
@@ -60,11 +66,12 @@ def test_structure_constants_match_textbook_table():
     assert gm.f(3, 1, 2) == Qsqrt3(1)
     assert not gm.f(1, 2, 4)
     # reference route, in floats from the lambdas: f_abc = tr([la, lb] lc) / (4i)
-    lam = [np.array([[complex(c) for c in row] for row in m]) for m in gm.lambdas]
+    lam = [np.array([[complex(_float(c.re), _float(c.im)) for c in row] for row in m])
+           for m in gm.lambdas]
     for a, b, c in itertools.product(range(1, 9), repeat=3):
         la, lb, lc = lam[a - 1], lam[b - 1], lam[c - 1]
         want = np.trace((la @ lb - lb @ la) @ lc) / 4j
-        assert abs(want - float(gm.f(a, b, c))) < 1e-12, (a, b, c)
+        assert abs(want - _float(gm.f(a, b, c))) < 1e-12, (a, b, c)
 
 
 def test_su3_generator_diagonal_actions():
@@ -359,3 +366,13 @@ def test_apply_real_rejects_imaginary_output():
     q2 = su3_generator(2, "a")  # lambda_2 has imaginary entries
     with pytest.raises(ValueError):
         q2.apply_real(Z1)
+
+
+def test_generator_labels_out_of_range_are_rejected():
+    for alpha in (0, 9):
+        with pytest.raises(ValueError):
+            su3_generator(alpha)
+    for call in (lambda: su3_generator(1, "c"), lambda: number_op("c"),
+                 lambda: sp2r_generator("K3"), lambda: su2_ladder("J1")):
+        with pytest.raises(ValueError):
+            call()

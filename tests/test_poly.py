@@ -107,7 +107,7 @@ def test_inner_product_values():
 def test_inner_product_positive_definite(f):
     ip = bargmann_inner(f, f)
     if f:
-        assert float(ip) > 0
+        assert float(ip.rat) + float(ip.surd) * 3.0 ** 0.5 > 0
     else:
         assert not ip
 
@@ -172,6 +172,21 @@ def test_duplicate_record_rejected():
         poly_from_records([{**rec, "num": "0"}, rec])
 
 
+def test_records_may_omit_the_sqrt3_part():
+    # surd_num defaults to 0 and surd_den to 1
+    z1 = [1, 0, 0, 0, 0, 0]
+    assert poly_from_records([{"exps": z1, "num": "2", "den": "3"}]) == Z1.scale(Fraction(2, 3))
+    assert poly_from_records([{"exps": z1, "num": "0", "den": "1", "surd_num": "5"}]) \
+        == Z1.scale(Qsqrt3(0, 5))
+
+
+def test_repr_lists_the_terms_in_monomial_order():
+    assert repr(Polynomial.zero()) == "Polynomial(0)"
+    f = Z1 + W1.scale(Qsqrt3(Fraction(1, 2), 1))
+    assert repr(f) == ("Polynomial(Qsqrt3(1/2, 1)*(0, 0, 0, 1, 0, 0)"
+                       " + Qsqrt3(1)*(1, 0, 0, 0, 0, 0))")
+
+
 def _mul_reference(f, g):
     """The product term pair by term pair in Qsqrt3 arithmetic."""
     out = {}
@@ -232,6 +247,14 @@ def test_product_with_zero_and_constant_factors(f):
     c = Qsqrt3(Fraction(2, 3), Fraction(-1, 5))
     assert Polynomial.constant(c) * f == f * Polynomial.constant(c) == f.scale(c)
     assert Polynomial.constant(1) * f == f
+
+
+def test_product_with_an_unknown_operand_is_a_type_error():
+    p = Polynomial.variable(1)
+    with pytest.raises(TypeError):
+        p * 0.5
+    with pytest.raises(TypeError):
+        0.5 * p
 
 
 def test_product_reads_the_field_constant_at_call_time(monkeypatch):
