@@ -290,7 +290,7 @@ def charge_block_rank(p: int, q: int, image: Callable[[Monomial], dict]) -> int:
 def kminus_kernel_dimension(p: int, q: int) -> int:
     """Dimension of ker K- inside bidegree (p, q), by exact nullity."""
     rank = charge_block_rank(p, q, lambda m: kminus_terms({m: 1}))
-    return math.comb(p + 2, 2) * math.comb(q + 2, 2) - rank
+    return len(monomials_of_bidegree(p, q)) - rank
 
 
 # -- serialization ------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .poly import Monomial, monomials_of_bidegree, trace_free_terms
+from .poly import Monomial, monomial_index, monomials_of_bidegree, trace_free_terms
 
 NumericPolynomial = Dict[Monomial, complex]
 
@@ -65,7 +65,7 @@ def act_bargmann(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
         parts.setdefault((m[0] + m[1] + m[2], m[3] + m[4] + m[5]), {})[m] = c
     out: NumericPolynomial = {}
     for (p, q), part in parts.items():
-        monos, index = _bidegree_basis(p, q)
+        monos, index = monomials_of_bidegree(p, q), monomial_index(p, q)
         s, t = group_factors(a, p, q)
         coeffs = np.zeros(len(monos), dtype=complex)
         for m, c in part.items():
@@ -112,12 +112,12 @@ def _sym_layout(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows[k, 0] is one such tuple (reps[k]; any one will do, since the product
     of linear forms does not depend on the order of its factors) and
     cols[0, t] is tuple t, so that B[rows, cols] has shape (k, t, slot)."""
-    row = {m[:3]: k for k, m in enumerate(monomials_of_bidegree(p, 0))}
+    row = monomial_index(p, 0)
     tuples = list(itertools.product(range(3), repeat=p))
     fold = np.zeros((len(row), 3 ** p))
     reps = np.zeros((len(row), p), dtype=np.intp)
     for t, idx in enumerate(tuples):
-        k = row[(idx.count(0), idx.count(1), idx.count(2))]
+        k = row[(idx.count(0), idx.count(1), idx.count(2), 0, 0, 0)]
         fold[k, t] = 1.0
         reps[k] = idx
     rows = reps[:, None, :]
@@ -125,13 +125,6 @@ def _sym_layout(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in (fold, rows, cols):
         arr.flags.writeable = False  # shared by every caller
     return fold, rows, cols
-
-
-@lru_cache(maxsize=None)
-def _bidegree_basis(p: int, q: int) -> Tuple[Tuple[Monomial, ...], Dict[Monomial, int]]:
-    """The monomials of bidegree (p, q) in order, and the position of each."""
-    monos = tuple(monomials_of_bidegree(p, q))
-    return monos, {m: k for k, m in enumerate(monos)}
 
 
 def equivariance_defect(a: np.ndarray, bidegree: Tuple[int, int]) -> float:
@@ -147,7 +140,7 @@ def equivariance_defect(a: np.ndarray, bidegree: Tuple[int, int]) -> float:
 @lru_cache(maxsize=None)
 def projector_matrix(p: int, q: int) -> np.ndarray:
     """Float matrix of the trace-removal projector on bidegree (p, q)."""
-    monos, index = _bidegree_basis(p, q)
+    monos, index = monomials_of_bidegree(p, q), monomial_index(p, q)
     proj = np.zeros((len(monos), len(monos)))
     for j, m in enumerate(monos):
         for t, c in n_traceless_project({m: 1}, p, q).items():

@@ -20,10 +20,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .poly import Monomial, Polynomial
-from .scalars import CScalar, Qsqrt3, INV_SQRT3
-
-MUL = 0
-DIFF = 1
+from .scalars import CScalar, Qsqrt3, INV_SQRT3, ratio
 
 # a normal-ordered term z^alpha d^beta with six-exponent tuples alpha, beta
 NormalKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -60,20 +57,6 @@ class OperatorExpr:
     @staticmethod
     def identity(coeff=1) -> "OperatorExpr":
         return OperatorExpr({(_ZEROS, _ZEROS): coeff})
-
-    @staticmethod
-    def word(symbols, coeff=1) -> "OperatorExpr":
-        """coeff times the product of (kind, mode) symbols; the leftmost acts last."""
-        out = OperatorExpr.identity(coeff)
-        for kind, mode in symbols:
-            key = (_unit(mode), _ZEROS) if kind == MUL else (_ZEROS, _unit(mode))
-            out = out.compose(OperatorExpr({key: 1}))
-        return out
-
-    @staticmethod
-    def bilinear(create: int, annihilate: int, coeff=1) -> "OperatorExpr":
-        """coeff * z_create d_annihilate with 1-based mode indices."""
-        return OperatorExpr({(_unit(create - 1), _unit(annihilate - 1)): coeff})
 
     # -- linear structure ----------------------------------------------------
 
@@ -162,8 +145,9 @@ def _accum(d: Dict, m, v) -> None:
         d.pop(m, None)
 
 
-def _unit(mode: int) -> Tuple[int, ...]:
-    return tuple(int(j == mode) for j in range(6))
+def _unit(*modes: int) -> Tuple[int, ...]:
+    """The exponent tuple with a 1 at each 0-based mode of modes."""
+    return tuple(int(j in modes) for j in range(6))
 
 
 @lru_cache(maxsize=None)
@@ -213,10 +197,8 @@ def _product_into(out: Dict, a: Dict, b: Dict, sign: int) -> Dict:
 
 def _scalars(den: int, out: Dict) -> Dict[NormalKey, CScalar]:
     """The channel map over den as exact coefficients, without its zero terms."""
-    def part(n):
-        return n // den if n % den == 0 else Fraction(n, den)
-
-    return {key: CScalar._of(Qsqrt3._of(part(w), part(x)), Qsqrt3._of(part(y), part(z)))
+    return {key: CScalar._of(Qsqrt3._of(ratio(w, den), ratio(x, den)),
+                             Qsqrt3._of(ratio(y, den), ratio(z, den)))
             for key, (w, x, y, z) in out.items() if w or x or y or z}
 
 
@@ -287,34 +269,22 @@ def su3_generator(alpha: int, sector: str = "total") -> OperatorExpr:
         raise ValueError(f"unknown sector {sector!r}")
     lam = gell_mann().lambdas[alpha - 1]
     half = CScalar(Fraction(1, 2))
-    out = OperatorExpr.zero()
-    if sector in ("a", "total"):
-        for j in range(3):
-            for k in range(3):
-                c = lam[j][k]
-                if c:
-                    out = out + OperatorExpr.bilinear(j + 1, k + 1, half * c)
-    if sector in ("b", "total"):
-        for j in range(3):
-            for k in range(3):
-                c = lam[j][k].conjugate()
-                if c:
-                    out = out + OperatorExpr.bilinear(j + 4, k + 4, -(half * c))
-    return out
+    terms = {}
+    for j, k in itertools.product(range(3), repeat=2):
+        c = half * lam[j][k]
+        if sector != "b":
+            terms[_unit(j), _unit(k)] = c
+        if sector != "a":
+            terms[_unit(j + 3), _unit(k + 3)] = -c.conjugate()
+    return OperatorExpr(terms)
 
 
 def number_op(sector: str) -> OperatorExpr:
     """Total number operator of the z modes ("a") or w modes ("b")."""
-    if sector == "a":
-        modes = (1, 2, 3)
-    elif sector == "b":
-        modes = (4, 5, 6)
-    else:
+    if sector not in ("a", "b"):
         raise ValueError(f"unknown sector {sector!r}")
-    out = OperatorExpr.zero()
-    for j in modes:
-        out = out + OperatorExpr.bilinear(j, j)
-    return out
+    shift = 3 if sector == "b" else 0
+    return OperatorExpr({(_unit(j + shift), _unit(j + shift)): 1 for j in range(3)})
 
 
 def sp2r_generator(which: str) -> OperatorExpr:
@@ -323,26 +293,19 @@ def sp2r_generator(which: str) -> OperatorExpr:
         # J0 = (N_a + N_b + 3)/2
         n = number_op("a") + number_op("b") + OperatorExpr.identity(3)
         return n.scale(Fraction(1, 2))
-    if which == "Kplus":
-        out = OperatorExpr.zero()
-        for j in range(3):
-            out = out + OperatorExpr.word(((MUL, j), (MUL, j + 3)))
-        return out
-    if which == "Kminus":
-        out = OperatorExpr.zero()
-        for j in range(3):
-            out = out + OperatorExpr.word(((DIFF, j), (DIFF, j + 3)))
-        return out
+    if which == "Kplus":  # z.w = sum_j z_j w_j
+        return OperatorExpr({(_unit(j, j + 3), _ZEROS): 1 for j in range(3)})
+    if which == "Kminus":  # sum_j d/dz_j d/dw_j
+        return OperatorExpr({(_ZEROS, _unit(j, j + 3)): 1 for j in range(3)})
     if which == "K1":
         kp = sp2r_generator("Kplus")
         km = sp2r_generator("Kminus")
         return (kp + km).scale(Fraction(1, 2))
     if which == "K2":
-        # (K+ - K-)/(2i) = -i/2 K+ + i/2 K-
+        # (K+ - K-)/(2i) = (i/2)(K- - K+)
         kp = sp2r_generator("Kplus")
         km = sp2r_generator("Kminus")
-        mih = CScalar(0, Fraction(-1, 2))
-        return kp.scale(mih) + km.scale(-mih)
+        return (km - kp).scale(CScalar(0, Fraction(1, 2)))
     raise ValueError(f"unknown sp(2,R) generator {which!r}")
 
 
@@ -353,17 +316,12 @@ def su2_ladder(which: str) -> OperatorExpr:
     J3 = (N1a - N2a - N1b + N2b)/2.
     """
     if which == "Jminus":
-        return OperatorExpr.bilinear(2, 1) - OperatorExpr.bilinear(4, 5)
+        return OperatorExpr({(_unit(1), _unit(0)): 1, (_unit(3), _unit(4)): -1})
     if which == "Jplus":
-        return OperatorExpr.bilinear(1, 2) - OperatorExpr.bilinear(5, 4)
+        return OperatorExpr({(_unit(0), _unit(1)): 1, (_unit(4), _unit(3)): -1})
     if which == "J3":
-        half = Fraction(1, 2)
-        return (
-            OperatorExpr.bilinear(1, 1, half)
-            - OperatorExpr.bilinear(2, 2, half)
-            - OperatorExpr.bilinear(4, 4, half)
-            + OperatorExpr.bilinear(5, 5, half)
-        )
+        return OperatorExpr({(_unit(j), _unit(j)): Fraction(sign, 2)
+                             for j, sign in ((0, 1), (1, -1), (3, -1), (4, 1))})
     raise ValueError(f"unknown SU(2) ladder operator {which!r}")
 
 

@@ -19,9 +19,11 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple, TypeVar
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple, TypeVar
 
-from .scalars import Qsqrt3, RatLike
+from .scalars import Qsqrt3, ratio
 
 Monomial = Tuple[int, int, int, int, int, int]
 
@@ -202,13 +204,9 @@ def rebuild_polynomial(rat: Terms, surd: Terms, den: int) -> Polynomial:
     """Inverse of ``clear_terms``: the polynomial with coefficients
     (rat[m] + surd[m] sqrt 3) / den, each part an ``int`` where it is integral
     and a ``Fraction`` otherwise; zero coefficients go. Consumes ``surd``."""
-
-    def part(c: int) -> RatLike:
-        return c // den if c % den == 0 else Fraction(c, den)
-
     of = Qsqrt3._of
-    terms = {m: of(part(c), part(surd.pop(m, 0))) for m, c in rat.items() if c}
-    terms.update((m, of(0, part(c))) for m, c in surd.items() if c)
+    terms = {m: of(ratio(c, den), ratio(surd.pop(m, 0), den)) for m, c in rat.items() if c}
+    terms.update((m, of(0, ratio(c, den))) for m, c in surd.items() if c)
     return Polynomial._of(terms)
 
 
@@ -313,20 +311,19 @@ def trace_free_terms(terms: Terms, p: int, q: int) -> Tuple[Terms, int]:
     return _nonzero(out), den
 
 
-def monomials_of_bidegree(p: int, q: int) -> Iterator[Monomial]:
-    """All monomials with z-degree p and w-degree q."""
-    for za in _compositions(p, 3):
-        for wa in _compositions(q, 3):
-            yield za + wa
+@lru_cache(maxsize=None)
+def monomials_of_bidegree(p: int, q: int) -> Tuple[Monomial, ...]:
+    """All monomials with z-degree p and w-degree q, in lexicographic order
+    (z-major), built once per bidegree and shared."""
+    z, w = ([(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)] for n in (p, q))
+    return tuple(a + b for a in z for b in w)
 
 
-def _compositions(total: int, nslots: int) -> Iterator[Tuple[int, ...]]:
-    if nslots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, nslots - 1):
-            yield (first,) + rest
+@lru_cache(maxsize=None)
+def monomial_index(p: int, q: int) -> Mapping[Monomial, int]:
+    """The position of each monomial in monomials_of_bidegree(p, q), as a
+    read-only view, since every caller shares it."""
+    return MappingProxyType({m: k for k, m in enumerate(monomials_of_bidegree(p, q))})
 
 
 # -- serialization -----------------------------------------------------------

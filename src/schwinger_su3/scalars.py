@@ -39,6 +39,11 @@ def _frac(x) -> RatLike:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def ratio(n: int, den: int) -> RatLike:
+    """n / den as a rational: an ``int`` when den divides n, else a ``Fraction``."""
+    return n // den if n % den == 0 else Fraction(n, den)
+
+
 class _QuadraticExtension:
     """Element a + b*u with u*u = SQUARE and a, b in a base field.
 

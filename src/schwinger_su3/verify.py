@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, List
 
+from . import basis
 from .basis import (
     TOP_LEVEL,
     BasisKey,
@@ -291,7 +292,10 @@ def suite_kernel_dimension(max_each: int) -> Dict:
     the trace projector, for p, q <= max_each. K- maps onto bidegree
     (p-1, q-1), so its nullity alone follows from the monomial counts; the
     projector's square charge blocks are rank-deficient for p, q >= 1, so
-    their ranks can only come from their entries."""
+    their ranks can only come from their entries. When a bidegree was checked,
+    one anchor checks the rank routine itself on a matrix of determinant -2,
+    which a Bareiss step that skips rows with a zero pivot-column entry reads
+    as rank 2."""
     tally = _Tally()
     for p in range(max_each + 1):
         for q in range(max_each + 1):
@@ -299,6 +303,8 @@ def suite_kernel_dimension(max_each: int) -> Dict:
             tally(kminus_kernel_dimension(p, q) == d, "K- nullity", p, q)
             rank = charge_block_rank(p, q, lambda m: trace_free_terms({m: 1}, p, q)[0])
             tally(rank == d, "projector rank", p, q)
+    if tally.checks:  # basis.rational_rank, read as charge_block_rank reads it
+        tally(basis.rational_rank([[-3, -1, -1], [0, 2, -3], [-1, -1, 1]]) == 3, "rank anchor")
     return tally.result("kernel_dimension", max_each=max_each)
 
 
@@ -373,9 +379,9 @@ def suite_induced_oracle(max_total: int) -> Dict:
     # oracle equivalence on traceless channels
     for p in range(max_total + 1):
         for q in range(max_total + 1 - p):
-            basis = [make_sphere_function(f) for f in traceless_channel_basis(p, q)]
-            for i, phi in enumerate(basis):
-                for psi in basis[i:]:
+            funcs = [make_sphere_function(f) for f in traceless_channel_basis(p, q)]
+            for i, phi in enumerate(funcs):
+                for psi in funcs[i:]:
                     tally(induced_inner_formula(phi, psi) == sphere_inner_direct(phi, psi),
                           "oracle", p, q)
     # cross-bidegree orthogonality of traceless functions

@@ -142,6 +142,16 @@ def test_basis_state_examples():
     assert st.norm_sq == Fraction(6)  # cleared poly 2 z3w3 - z1w1 - z2w2
 
 
+def test_basis_keys_cover_three_levels_of_each_weight():
+    # p + q <= 1: the 1 + 3 + 3 weights of (0,0), (1,0) and (0,1), each at
+    # m = k, k + 1 and k + 2
+    keys = list(enumerate_basis_keys(1))
+    assert len(keys) == 21
+    assert {(key.rep.p, key.rep.q) for key in keys} == {(0, 0), (1, 0), (0, 1)}
+    for key in keys:
+        assert (key.m2 - k_of(key.rep)) // 2 in (0, 1, 2)
+
+
 def test_basis_key_validation():
     with pytest.raises(ValueError):
         _key(1, 1, 0, 0, 0, 4)  # below 2k = 5
@@ -307,6 +317,15 @@ def test_rational_rank_matches_fraction_elimination():
         assert basis.rational_rank(rows) == expected, rows
     assert deficient > 100
     assert basis.rational_rank([]) == 0
+
+
+def test_charge_block_rank_reads_a_missing_entry_as_zero():
+    # on the charge-0 block of (1, 1), z1 w1 -> z1 w1 + z2 w2, z2 w2 -> z1 w1
+    # and z3 w3 -> z3 w3 have rank 3; read as 1, the entries that these
+    # images lack would make each row of the block (1, 1, 1)
+    e = [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)]
+    images = {e[0]: {e[0]: 1, e[1]: 1}, e[1]: {e[0]: 1}}
+    assert basis.charge_block_rank(1, 1, lambda m: images.get(m, {m: 1})) == 9
 
 
 def test_h0_membership():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -120,6 +121,13 @@ def test_state_latex(capsys):
         "--m", "2", "--latex",
     )
     assert code == 0 and "z_1" in out and "\\sqrt" in out
+    # integer coefficients in plain digits, an exponent 1 unwritten
+    code, out, _ = _run(capsys, "state", "1", "1", "--I", "0", "--M", "0", "--Y", "0",
+                        "--m", "5/2", "--latex")
+    assert out.strip() == "\\frac{1}{\\sqrt{6/1}}\\left(2 z_3w_3 - 1 z_2w_2 - 1 z_1w_1\\right)"
+    code, out, _ = _run(capsys, "state", "2", "0", "--I", "1", "--M", "1", "--Y", "2/3",
+                        "--m", "5/2", "--latex")
+    assert out.strip() == "\\frac{1}{\\sqrt{2/1}}\\left(1 z_1^{2}\\right)"
 
 
 def test_state_invalid_weight_exits_2(capsys):
@@ -190,6 +198,9 @@ def test_table_dims(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 10  # header + 9 rows
     assert lines[-1] == "2,2,27,7"
+    # the ranges start at 0, and 0 is a valid bound
+    code, out, _ = _run(capsys, "table", "dims", "--max-p", "0", "--max-q", "0")
+    assert code == 0 and out == "p,q,dim,k2\n0,0,1,3\n"
 
 
 def test_table_rejects_negative_range(capsys):
@@ -211,15 +222,21 @@ def test_table_mult_u2_diagonal(capsys):
 
 
 def test_verify_small(capsys):
+    start = time.perf_counter()
     code, out, _ = _run(
         capsys, "verify", "--max-pq", "1", "--degree", "2", "--samples", "2",
     )
+    elapsed = time.perf_counter() - start
     parsed = json.loads(out)
     assert code == 0
     assert parsed["pass"] is True
     names = [s["name"] for s in parsed["suites"]]
     assert names == sorted(names)
     assert all(s["checks"] > 0 for s in parsed["suites"])
+    # the whole run covers every suite, each rounded to 1e-4 s, and the
+    # shared states that no suite times
+    assert parsed["seconds"] >= sum(s["seconds"] for s in parsed["suites"]) - 1e-3
+    assert parsed["seconds"] <= elapsed
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -234,6 +251,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def test_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: schwinger-su3")
+
+
+def test_option_defaults():
+    # the sizes README's commands and the measured default runs rely on
+    parse = cli.build_parser().parse_args
+    table = parse(["table", "dims"])
+    assert (table.max_p, table.max_q) == (3, 3)
+    run = parse(["verify"])
+    assert (run.max_pq, run.degree, run.samples, run.seed, run.numeric,
+            run.numeric_samples) == (3, 4, 20, 0, False, 20)
 
 
 def _run_stdin(text, *argv):

@@ -6,6 +6,7 @@ import pytest
 from schwinger_su3.basis import ZW, traceless_project
 from schwinger_su3.induced import (
     TraceConditionError,
+    _sqrt_exact,
     equivalence_map,
     induced_inner_formula,
     make_sphere_function,
@@ -113,3 +114,10 @@ def test_cross_bidegree_orthogonality():
     g = make_sphere_function(_random_traceless(rng, 1, 1))
     assert sphere_inner_direct(f, g) == 0
     assert induced_inner_formula(f, g) == 0
+
+
+def test_sqrt_exact_takes_square_roots_of_squares_only():
+    assert _sqrt_exact(Fraction(9, 4)) == Fraction(3, 2)
+    for x in (Fraction(2), Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            _sqrt_exact(x)

@@ -4,11 +4,10 @@ unpatched; patched, it fails with the same number of checks (a mutant changes
 verdicts, not the amount checked) and reports the pinned result fields, each
 pinned as a value or a predicate.
 
-No row pins a Bareiss rank that skips the update on rows whose pivot-column
-entry is 0: it gives the right rank on every K- and trace-projector charge
-block up to (4, 4), so criterion 7 passes under it at its acceptance scale (the
-projector's rank at (6, 6) is the first it gets wrong). Its guard is
-tests/test_basis.py::test_rational_rank_matches_fraction_elimination.
+A Bareiss rank that skips the update on rows whose pivot-column entry is 0
+gives the right rank on every K- and trace-projector charge block up to
+(4, 4) (the projector's rank at (6, 6) is the first it gets wrong), so its row
+fails only criterion 7's rank anchor, a 3 x 3 matrix of determinant -2.
 """
 
 import functools
@@ -109,6 +108,30 @@ def _rank_one_short(mp):
     # with several
     original = basis.rational_rank
     mp.setattr(basis, "rational_rank", lambda rows: original(rows) - (len(rows) > 1))
+
+
+def _bareiss_skip_zero_pivot(mp):
+    # rows whose pivot-column entry is 0 keep their stale entries, which the
+    # next step divides by a pivot that never scaled them
+    def skipping(rows):
+        mat = [list(r) for r in rows]
+        rank, prev = 0, 1
+        for col in range(len(mat[0]) if mat else 0):
+            pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+            if pivot is None:
+                continue
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            top = mat[rank]
+            pv = top[col]
+            for i in range(rank + 1, len(mat)):
+                f = mat[i][col]
+                if f:
+                    mat[i] = [(pv * x - f * y) // prev for x, y in zip(mat[i], top)]
+            prev = pv
+            rank += 1
+        return rank
+
+    mp.setattr(basis, "rational_rank", skipping)
 
 
 def _min_rank(mp):
@@ -223,11 +246,16 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
     ("trace-weight-a3", 6, _trace_weight_one_larger(3),
      lambda: verify.suite_trace_projector(samples=2, max_each=3, seed=0),
      {"checks": 114, "failures": 8, "first_failure": "annihilation 3 3 0"}),
+    # the projector ranks of (1, 1), (1, 2), (2, 1) and (2, 2), the K- nullity
+    # of (2, 2) and the rank anchor
     ("rank-one-short", 7, _rank_one_short, lambda: verify.suite_kernel_dimension(2),
-     {"failures": 5, "first_failure": "projector rank 1 1"}),
+     {"failures": 6, "first_failure": "projector rank 1 1"}),
     # (1, 1), (1, 2), (2, 1) and (2, 2)
     ("min-rank", 7, _min_rank, lambda: verify.suite_kernel_dimension(2),
      {"failures": 4, "first_failure": "projector rank 1 1"}),
+    ("bareiss-skip-zero-pivot", 7, _bareiss_skip_zero_pivot,
+     lambda: verify.suite_kernel_dimension(2),
+     {"failures": 1, "first_failure": "rank anchor"}),
     ("cg-last-term-dropped", 8, _drop_last_cg_term, verify.suite_cg_counting,
      {"checks": 1167, "failures": 400, "first_failure": "cg series 1 1"}),
     ("u1-mult-one-more", 8, _u1_mult_one_more, verify.suite_cg_counting,

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from schwinger_su3.operators import (
-    DIFF,
-    MUL,
     OperatorExpr,
     commutator_defect,
     gell_mann,
@@ -34,6 +32,21 @@ ZW = (
     + Polynomial.monomial((0, 1, 0, 0, 1, 0))
     + Polynomial.monomial((0, 0, 1, 0, 0, 1))
 )
+
+
+MUL = 0
+DIFF = 1
+_ZEROS = (0,) * 6
+
+
+def word(symbols, coeff=1):
+    """coeff times the product of (kind, mode) symbols, each a multiplication
+    (MUL) or a derivative (DIFF) on a 0-based mode; the leftmost acts last."""
+    out = OperatorExpr.identity(coeff)
+    for kind, mode in symbols:
+        unit = tuple(int(j == mode) for j in range(6))
+        out = out.compose(OperatorExpr({(unit, _ZEROS) if kind == MUL else (_ZEROS, unit): 1}))
+    return out
 
 
 def _float(x):
@@ -165,8 +178,8 @@ def test_commutator_defect_agrees_with_monomial_sweep():
             for sector in ("a", "total")]
     pool += [sp2r_generator(w) for w in ("J0", "K1", "K2", "Kplus", "Kminus")]
     pool += [su2_ladder(w) for w in ("Jplus", "Jminus", "J3")]
-    pool += [OperatorExpr.word([(rng.choice((MUL, DIFF)), rng.randrange(6))
-                                for _ in range(rng.randint(1, 3))])
+    pool += [word([(rng.choice((MUL, DIFF)), rng.randrange(6))
+                   for _ in range(rng.randint(1, 3))])
              for _ in range(6)]
     verdicts = []
     for _ in range(400):
@@ -177,7 +190,7 @@ def test_commutator_defect_agrees_with_monomial_sweep():
             symbols = [(rng.choice((MUL, DIFF)), rng.randrange(6))
                        for _ in range(rng.randint(0, 4))]
             n = rng.choice((-2, -1, 1, 2))
-            z = z + OperatorExpr.word(symbols, rng.choice((CScalar(n), CScalar(0, n))))
+            z = z + word(symbols, rng.choice((CScalar(n), CScalar(0, n))))
         degree = rng.randint(0, 3)
         verdict = bool(commutator_defect(x, y, z, degree))
         assert verdict == bool(_sweep_defect(x, y, z, degree))
@@ -235,8 +248,8 @@ def test_su3_generators_self_adjoint():
 
 def test_operator_equality_is_semantic():
     # [d_1, z_1] = 1 as operators
-    z1 = OperatorExpr.word(((0, 0),))
-    d1 = OperatorExpr.word(((1, 0),))
+    z1 = word(((0, 0),))
+    d1 = word(((1, 0),))
     assert d1.commutator(z1) == OperatorExpr.identity()
     assert d1.compose(z1) - z1.compose(d1) - OperatorExpr.identity() == (
         OperatorExpr.zero()
@@ -254,8 +267,8 @@ def test_word_reorders_repeated_modes():
         ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)): CScalar(4),
         ((0,) * 6, (0,) * 6): CScalar(2),
     }
-    assert OperatorExpr.word((d1, d1, z1, z1)).normal_form() == want
-    product = OperatorExpr.word((d1, d1)).compose(OperatorExpr.word((z1, z1)))
+    assert word((d1, d1, z1, z1)).normal_form() == want
+    product = word((d1, d1)).compose(word((z1, z1)))
     assert product.normal_form() == want
 
 
@@ -285,7 +298,7 @@ def test_compose_matches_successive_application():
     # on both sides of a product
     for _ in range(12):
         symbols = [(rng.choice((MUL, DIFF)), rng.choice((0, 3))) for _ in range(4)]
-        ops.append(OperatorExpr.word(symbols, rng.randint(1, 3)))
+        ops.append(word(symbols, rng.randint(1, 3)))
     for x in ops:
         for y in ops:
             degree = rng.randint(2, 4)
@@ -319,8 +332,8 @@ def _kernel_operands():
     ops = [su3_generator(alpha, sector) for sector in ("a", "b", "total")
            for alpha in range(1, 9)]
     ops += [sp2r_generator(w) for w in ("J0", "K1", "K2", "Kplus", "Kminus")]
-    words = [OperatorExpr.word(((DIFF, 0), (MUL, 0), (DIFF, 3), (MUL, 3), (MUL, 0))),
-             OperatorExpr.word(((DIFF, 0), (DIFF, 0), (MUL, 0), (MUL, 0)), Fraction(-3, 5))]
+    words = [word(((DIFF, 0), (MUL, 0), (DIFF, 3), (MUL, 3), (MUL, 0))),
+             word(((DIFF, 0), (DIFF, 0), (MUL, 0), (MUL, 0)), Fraction(-3, 5))]
     return ops + [op.scale(_ODD) for op in ops[::4] + words]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schwinger_su3.operators import DIFF, MUL, OperatorExpr
+from schwinger_su3.operators import OperatorExpr
 from schwinger_su3.poly import (
     Polynomial,
     bargmann_inner,
@@ -35,14 +35,18 @@ surd_polys = st.dictionaries(
 ).map(Polynomial)
 
 
+def _unit(j):
+    return tuple(int(i == j - 1) for i in range(6))
+
+
 def mode_mul(f, j):
     """Creation operator on mode j = 1..6: multiply by that variable."""
-    return OperatorExpr.word(((MUL, j - 1),)).apply_real(f)
+    return OperatorExpr({(_unit(j), (0,) * 6): 1}).apply_real(f)
 
 
 def mode_diff(f, j):
     """Annihilation operator on mode j = 1..6: differentiate in that variable."""
-    return OperatorExpr.word(((DIFF, j - 1),)).apply_real(f)
+    return OperatorExpr({((0,) * 6, _unit(j)): 1}).apply_real(f)
 
 
 def test_additive_inverse():
