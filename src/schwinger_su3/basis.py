@@ -23,7 +23,6 @@ from .poly import (
     Polynomial,
     bargmann_inner,
     charge,
-    clear_terms,
     kminus_terms,
     monomials_of_bidegree,
     poly_to_records,
@@ -200,7 +199,7 @@ def _run_trace_kernel(f: Polynomial, kernel) -> Polynomial:
     if pq is None:
         raise ValueError("polynomial is not bihomogeneous")
     p, q = pq
-    rat, surd, den = clear_terms(f.terms)
+    rat, surd, den = f.channels()
     rat, scale = kernel(rat, p, q)
     surd = kernel(surd, p, q)[0] if surd else {}
     return rebuild_polynomial(rat, surd, den * scale)

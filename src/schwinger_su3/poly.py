@@ -50,9 +50,11 @@ def monomial_norm_sq(m: Monomial) -> int:
 
 
 class Polynomial:
-    """Canonical sparse polynomial: a map monomial -> nonzero Qsqrt3."""
+    """Canonical sparse polynomial: a map monomial -> nonzero Qsqrt3.  One
+    rebuilt from integer channels also keeps their reduced form (see
+    ``channels``); one from the constructor or ``_of`` keeps none."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_cleared")
 
     def __init__(self, terms: Dict[Monomial, Qsqrt3] | None = None):
         clean: Dict[Monomial, Qsqrt3] = {}
@@ -65,16 +67,24 @@ class Polynomial:
                     raise ValueError(f"bad monomial {m!r}")
                 clean[tuple(m)] = c
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def _of(terms: Dict[Monomial, Qsqrt3]) -> "Polynomial":
-        """Wrap an already canonical term dict without checking it."""
+    def _of(terms: Dict[Monomial, Qsqrt3], cleared=None) -> "Polynomial":
+        """Wrap an already canonical term dict, and its reduced cleared form
+        if known, without checking them."""
         p = Polynomial.__new__(Polynomial)
         object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_cleared", cleared)
         return p
+
+    def channels(self) -> Tuple[Terms, Terms, int]:
+        """``clear_terms(self.terms)``, read from the stored form when there is
+        one; callers share the dicts and must not mutate them."""
+        return self._cleared or clear_terms(self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -107,24 +117,30 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
+        if self._cleared and other._cleared:
+            return self._cleared == other._cleared
         return self.terms == other.terms
 
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other on integer channels over the lcm of the two
+        denominators."""
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        ra, sa, da = self.channels()
+        rb, sb, db = other.channels()
+        den = math.lcm(da, db)
+        ka, kb = den // da, sign * (den // db)
+        rat, surd = _scaled_sum(ra, ka, rb, kb), _scaled_sum(sa, ka, sb, kb)
+        return rebuild_polynomial(rat, surd, den)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial._of(out)
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._of({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def scale(self, c) -> "Polynomial":
         c = Qsqrt3.coerce(c)
@@ -137,8 +153,8 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        ra, sa, da = clear_terms(self.terms)
-        rb, sb, db = clear_terms(other.terms)
+        ra, sa, da = self.channels()
+        rb, sb, db = other.channels()
         # (Ra + Sa u)(Rb + Sb u) = (Ra Rb + SQUARE Sa Sb) + (Ra Sb + Sa Rb) u,
         # on integers over da db; an empty channel costs nothing
         rat = _convolve({}, ra, rb)
@@ -203,11 +219,25 @@ def clear_terms(terms: Dict[Monomial, Qsqrt3]) -> Tuple[Terms, Terms, int]:
 def rebuild_polynomial(rat: Terms, surd: Terms, den: int) -> Polynomial:
     """Inverse of ``clear_terms``: the polynomial with coefficients
     (rat[m] + surd[m] sqrt 3) / den, each part an ``int`` where it is integral
-    and a ``Fraction`` otherwise; zero coefficients go. Consumes ``surd``."""
+    and a ``Fraction`` otherwise; zero coefficients go. It keeps the channels,
+    divided by their gcd with den, as its stored form."""
+    g = math.gcd(den, *rat.values(), *surd.values())
+    rat = {m: c // g for m, c in rat.items() if c}
+    surd = {m: c // g for m, c in surd.items() if c}
+    den //= g
     of = Qsqrt3._of
-    terms = {m: of(ratio(c, den), ratio(surd.pop(m, 0), den)) for m, c in rat.items() if c}
-    terms.update((m, of(0, ratio(c, den))) for m, c in surd.items() if c)
-    return Polynomial._of(terms)
+    terms = {m: of(ratio(c, den), ratio(surd.get(m, 0), den)) for m, c in rat.items()}
+    terms.update((m, of(0, ratio(c, den))) for m, c in surd.items() if m not in rat)
+    return Polynomial._of(terms, (rat, surd, den))
+
+
+def _scaled_sum(a: Terms, ka: int, b: Terms, kb: int) -> Terms:
+    """ka a + kb b on integer term dicts, zeros kept."""
+    out = {m: ka * c for m, c in a.items()}
+    get = out.get
+    for m, c in b.items():
+        out[m] = get(m, 0) + kb * c
+    return out
 
 
 def _convolve(out: Terms, a: Terms, b: Terms) -> Terms:

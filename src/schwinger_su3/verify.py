@@ -488,9 +488,9 @@ def suite_numeric_equivariance(samples: int, seed: int = 0) -> Dict:
                         max_representation_defect=max_rep, samples=samples, seed=seed)
 
 
-def run_all(max_pq: int = 3, degree: int = 4, samples: int = 20, seed: int = 0,
-            numeric_checks: bool = False, numeric_samples: int = 20) -> List[Dict]:
-    """All suites at CLI-friendly sizes, sorted by suite name."""
+def run_all(*, max_pq: int, degree: int, samples: int, numeric_samples: int,
+            seed: int = 0, numeric_checks: bool = False) -> List[Dict]:
+    """All suites at the caller's sizes, sorted by suite name."""
     states = build_states(max_pq)
     suites = [
         suite_su3_closure(degree),

@@ -22,8 +22,16 @@ from schwinger_su3.basis import (
     traceless_project,
     zw_cofactor,
 )
-from schwinger_su3.catalog import IrrepLabel, dim, k_of, weight_from_iy, weight_from_rs
-from schwinger_su3.operators import sp2r_generator, su2_ladder
+from schwinger_su3.catalog import (
+    IrrepLabel,
+    dim,
+    induced_multiplicity,
+    iy_spectrum,
+    k_of,
+    weight_from_iy,
+    weight_from_rs,
+)
+from schwinger_su3.operators import sp2r_generator, su2_ladder, su3_generator
 from schwinger_su3.poly import (
     Polynomial,
     bargmann_inner,
@@ -338,6 +346,35 @@ def test_kernel_dimensions_small():
     assert kminus_kernel_dimension(0, 0) == 1
     assert kminus_kernel_dimension(1, 1) == 8
     assert kminus_kernel_dimension(2, 1) == dim(IrrepLabel(2, 1))
+
+
+def test_so3_invariants_by_the_common_kernel_of_q2_q5_q7():
+    """The direct SO(3) route: Q2, Q5 and Q7, the generators with imaginary
+    lambda, span so(3), so their common kernel on the m = k states of (p, q)
+    is the SO(3)-invariant subspace of the irrep, whose dimension is the
+    multiplicity of (p, q) induced from the trivial rep of SO(3)."""
+    gens = [su3_generator(a) for a in (2, 5, 7)]
+    for p in range(4):
+        for q in range(4):
+            rep = IrrepLabel(p, q)
+            states = [basis_state(BasisKey(rep=rep, weight=top.replace(M2=M2), m2=k_of(rep)))
+                      for top in iy_spectrum(rep) for M2 in range(-top.I2, top.I2 + 1, 2)]
+            assert len(states) == dim(rep)
+            # one row per state: its three images, keyed by (generator, monomial);
+            # the generators are imaginary, so each image is its imaginary part
+            rows = []
+            for st in states:
+                row = {}
+                for a, gen in enumerate(gens):
+                    re, im = gen.apply(st.poly)
+                    assert not re
+                    row.update(((a, m), c.as_fraction()) for m, c in im.terms.items())
+                rows.append(row)
+            targets = sorted({t for row in rows for t in row})
+            rank = basis.rational_rank([[row.get(t, 0) for t in targets] for row in rows])
+            kernel = len(states) - rank
+            assert kernel == (p % 2 == 0 and q % 2 == 0), (p, q)
+            assert kernel == induced_multiplicity("SO3", rep), (p, q)
 
 
 def test_state_serialization_round_trip():

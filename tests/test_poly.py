@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,16 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schwinger_su3.basis import ZW, traceless_project, zw_cofactor
 from schwinger_su3.operators import OperatorExpr
 from schwinger_su3.poly import (
     Polynomial,
     bargmann_inner,
+    clear_terms,
     kminus_terms,
     monomial_norm_sq,
     monomials_of_bidegree,
     poly_from_records,
     poly_to_json,
     poly_to_records,
+    rebuild_polynomial,
     zw_mul_terms,
 )
 from schwinger_su3.scalars import Qsqrt3
@@ -261,6 +266,17 @@ def test_product_with_an_unknown_operand_is_a_type_error():
         0.5 * p
 
 
+def test_sum_with_an_unknown_operand_is_a_type_error():
+    p = Polynomial.variable(1)
+    for bad in (1, 0.5, Qsqrt3(1)):
+        with pytest.raises(TypeError):
+            p + bad
+        with pytest.raises(TypeError):
+            p - bad
+        with pytest.raises(TypeError):
+            bad - p
+
+
 def test_product_reads_the_field_constant_at_call_time(monkeypatch):
     f = Z1.scale(Qsqrt3(1, 1))
     monkeypatch.setattr(Qsqrt3, "SQUARE", 2)
@@ -302,3 +318,114 @@ def test_trace_kernel_steps_match_the_slicing_route():
             for terms in inputs:
                 assert kminus_terms(terms) == _kminus_slicing(terms)
                 assert zw_mul_terms(terms) == _zw_mul_slicing(terms)
+
+
+def _add_reference(f, g):
+    """The sum term by term in Qsqrt3 arithmetic."""
+    out = dict(f.terms)
+    for m, c in g.terms.items():
+        s = out.get(m)
+        s = c if s is None else s + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return Polynomial(out)
+
+
+def _rebuilt(f):
+    """f as the integer-channel operations return it, with its stored form."""
+    return rebuild_polynomial(*clear_terms(f.terms))
+
+
+def _routes(f):
+    """f from the constructor (no stored form) and rebuilt (stored form)."""
+    return Polynomial(dict(f.terms)), _rebuilt(f)
+
+
+def _assert_reduced(f):
+    """f's stored form is reduced and is the cleared form of its terms."""
+    rat, surd, den = f._cleared
+    assert den > 0 and math.gcd(den, *rat.values(), *surd.values()) == 1
+    assert 0 not in rat.values() and 0 not in surd.values()
+    assert all(type(c) is int for c in (*rat.values(), *surd.values()))
+    assert f._cleared == clear_terms(f.terms)
+
+
+any_polys = st.one_of(polys, surd_polys)
+
+
+@given(any_polys, any_polys)
+def test_sum_and_difference_match_the_termwise_route(f, g):
+    for a in _routes(f):
+        for b in _routes(g):
+            total, diff = a + b, a - b
+            assert total.terms == _add_reference(f, g).terms
+            assert diff.terms == _add_reference(f, -g).terms
+            for h in (total, diff):
+                assert _canonical(h)
+                _assert_reduced(h)
+    assert not (f - f) and (f - f)._cleared == ({}, {}, 1)
+
+
+@given(any_polys, any_polys)
+def test_rebuilt_polynomials_store_the_reduced_cleared_form(f, g):
+    _assert_reduced(_rebuilt(f))
+    _assert_reduced(f * g)
+    _assert_reduced(_rebuilt(f) * Polynomial.constant(Fraction(6, 5)))
+    # the constructor and _of store nothing
+    assert Polynomial(dict(f.terms))._cleared is None
+    assert (-f)._cleared is None and f.scale(3)._cleared is None
+
+
+@given(any_polys, any_polys)
+def test_equality_is_the_same_on_either_route(f, g):
+    for a in _routes(f):
+        for b in _routes(f):
+            assert a == b and b == a
+        for b in _routes(g):
+            assert (a == b) == (b == a) == (f.terms == g.terms)
+    # a rebuilt polynomial equals the constructor's copy of its own terms
+    assert _rebuilt(f) == Polynomial(dict(f.terms)) == _rebuilt(f)
+    # the same value rebuilt from a denominator that was not reduced
+    rat, surd, den = clear_terms(f.terms)
+    doubled = rebuild_polynomial({m: 2 * c for m, c in rat.items()},
+                                 {m: 2 * c for m, c in surd.items()}, 2 * den)
+    assert doubled == f and f == doubled and doubled == _rebuilt(f)
+
+
+def test_equality_examples_with_sqrt3_parts():
+    r3 = Qsqrt3(0, 1)
+    f = Z1.scale(Qsqrt3(Fraction(1, 2), Fraction(1, 3))) + W2.scale(r3)
+    g = Z1.scale(Qsqrt3(Fraction(1, 2), Fraction(-1, 3))) + W2.scale(r3)
+    for a in _routes(f):
+        for b in _routes(g):
+            assert a != b and b != a
+        for b in _routes(f):
+            assert a == b and b == a
+    # same rational parts, sqrt 3 parts on different monomials
+    assert _rebuilt(Z1 + W1.scale(r3)) != _rebuilt(Z1.scale(r3) + W1)
+    # same reduced numerators over different denominators
+    assert _rebuilt(f) != _rebuilt(f.scale(Fraction(1, 2)))
+
+
+bidegree_polys = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda pq: st.dictionaries(
+        st.sampled_from(monomials_of_bidegree(*pq)),
+        st.builds(Qsqrt3, coefficients, coefficients),
+        min_size=1, max_size=8,
+    ).map(Polynomial).filter(bool)
+)
+
+
+@given(bidegree_polys)
+def test_reading_a_rebuilt_polynomial_leaves_it_unchanged(f):
+    f0 = traceless_project(f)
+    terms, cleared = dict(f0.terms), copy.deepcopy(f0._cleared)
+    assert cleared is not None
+    traceless_project(f0)
+    zw_cofactor(f0)
+    f - f0, f0 - f, f0 + f0, f0 - f0
+    f0 * ZW, ZW * f0, f0 * f0
+    assert f0.terms == terms and f0._cleared == cleared
+    _assert_reduced(f0)
