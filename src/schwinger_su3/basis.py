@@ -26,7 +26,7 @@ from .poly import (
     kminus_terms,
     monomials_of_bidegree,
     poly_to_records,
-    rebuild_polynomial,
+    run_trace_kernel,
     trace_free_terms,
     trace_series,
 )
@@ -188,35 +188,18 @@ def enumerate_basis_keys(max_pq: int) -> Iterator[BasisKey]:
 # -- trace removal --------------------------------------------------------------
 
 
-def _run_trace_kernel(f: Polynomial, kernel) -> Polynomial:
-    """Run a ``poly`` trace kernel, (integer terms, p, q) -> (D h, D) with D
-    fixed by (p, q), on the rational and the sqrt(3) part of f's coefficients,
-    cleared to integers over one common denominator L; h / (D L) is that part
-    of the result."""
-    if not f:
-        return f
-    pq = f.bidegree()
-    if pq is None:
-        raise ValueError("polynomial is not bihomogeneous")
-    p, q = pq
-    rat, surd, den = f.channels()
-    rat, scale = kernel(rat, p, q)
-    surd = kernel(surd, p, q)[0] if surd else {}
-    return rebuild_polynomial(rat, surd, den * scale)
-
-
 def traceless_project(f: Polynomial) -> Polynomial:
     """Leading traceless part f0 of a bihomogeneous polynomial.
 
     f0 = f - sum_n (-1)^(n-1) (p+q+1-n)!/(n! (p+q+1)!) (z.w)^n K-^n f,
     the unique component annihilated by K-.
     """
-    return _run_trace_kernel(f, trace_free_terms)
+    return run_trace_kernel(f, trace_free_terms)
 
 
 def zw_cofactor(f: Polynomial) -> Polynomial:
     """g with f - traceless_project(f) = (z.w) g, read off the projector series."""
-    return _run_trace_kernel(f, trace_series)
+    return run_trace_kernel(f, trace_series)
 
 
 def h0_membership(f: Polynomial) -> bool:

@@ -14,20 +14,11 @@ from typing import List
 _set = object.__setattr__
 
 
-def _by_fields(op):
-    """An ordering of two records of one class by their field tuples."""
-    def compare(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return op(self._fields(self), other._fields(other))
-    return compare
-
-
 class Record:
     """Immutable value whose fields are the names in a subclass's ``__slots__``
     (two or more), each set once by the subclass's ``__init__`` through
-    ``_set``. Records compare, hash and sort by their field tuple, against
-    records of the same class only."""
+    ``_set``. Records compare and hash by their field tuple, against records
+    of the same class only; they do not sort."""
 
     __slots__ = ()
 
@@ -57,11 +48,6 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields(self) == other._fields(other)
-
-    __lt__ = _by_fields(operator.lt)
-    __le__ = _by_fields(operator.le)
-    __gt__ = _by_fields(operator.gt)
-    __ge__ = _by_fields(operator.ge)
 
 
 class InvalidWeightError(ValueError):

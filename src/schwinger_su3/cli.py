@@ -195,17 +195,24 @@ def _state_latex(st) -> str:
 def _read_poly(args):
     from .poly import PolyFormatError, poly_from_records
 
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    source = "standard input" if args.input == "-" else args.input
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.input}: {exc.strerror}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {source}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {source}: {exc}") from None
     try:
-        return poly_from_records(json.loads(text))
-    except (json.JSONDecodeError, PolyFormatError) as exc:
+        recs = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, too-long numbers, nesting
+        raise CliError(f"bad polynomial JSON: {exc}") from None
+    try:
+        return poly_from_records(recs)
+    except PolyFormatError as exc:
         raise CliError(f"bad polynomial JSON: {exc}") from None
 
 

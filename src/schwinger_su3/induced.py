@@ -38,12 +38,12 @@ class TraceConditionError(ValueError):
 class SphereFunction(Record):
     __slots__ = ("poly", "traceless", "channel_scale_sq")
 
-    def __init__(self, poly: Polynomial, traceless: bool = False,
-                 channel_scale_sq: Dict[Channel, Fraction] | None = None):
+    def __init__(self, poly: Polynomial, traceless: bool,
+                 channel_scale_sq: Dict[Channel, Fraction]):
         _set(self, "poly", poly)
         _set(self, "traceless", traceless)
         # squared scale per bidegree channel; absent channels scale by 1
-        _set(self, "channel_scale_sq", {} if channel_scale_sq is None else channel_scale_sq)
+        _set(self, "channel_scale_sq", channel_scale_sq)
 
     def scale_sq(self, channel: Channel) -> Fraction:
         return self.channel_scale_sq.get(channel, Fraction(1))
@@ -53,16 +53,12 @@ def sphere_monomial_integral(holo: Tuple[int, int, int], anti: Tuple[int, int, i
     """Exact sphere moment of xi^holo * conj(xi)^anti with the delta-measure."""
     if tuple(holo) != tuple(anti):
         return Fraction(0)
-    total = sum(holo)
-    num = 1
-    for a in holo:
-        num *= math.factorial(a)
-    return Fraction(num, math.factorial(total + 2))
+    return Fraction(monomial_norm_sq(holo), math.factorial(sum(holo) + 2))
 
 
 def make_sphere_function(poly: Polynomial) -> SphereFunction:
     """Wrap a polynomial in xi/xi* variables, detecting tracelessness exactly."""
-    return SphereFunction(poly=poly, traceless=h0_membership(poly))
+    return SphereFunction(poly=poly, traceless=h0_membership(poly), channel_scale_sq={})
 
 
 def _sqrt_exact(x: Fraction) -> Fraction:

@@ -149,8 +149,7 @@ class Polynomial:
         return Polynomial._of({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction, Qsqrt3)):
-            return self.scale(other)
+        """The product of two polynomials; ``scale`` multiplies by a scalar."""
         if not isinstance(other, Polynomial):
             return NotImplemented
         ra, sa, da = self.channels()
@@ -166,8 +165,6 @@ class Polynomial:
         if sa:
             _convolve(surd, sa, rb)
         return rebuild_polynomial(rat, surd, da * db)
-
-    __rmul__ = __mul__
 
     # -- bidegree grading ----------------------------------------------------
 
@@ -309,9 +306,9 @@ def trace_series(terms: Terms, p: int, q: int) -> Tuple[Terms, int]:
     """(D g, D) for g = sum_{n=1..N} alpha_n (z.w)^(n-1) K-^n f on bidegree (p, q).
 
     alpha_n = (-1)^(n-1) (d-n)!/(n! d!) with d = p+q+1, N = min(p, q); then
-    f - (z.w) g is the component of f annihilated by K-.  D = d! N! makes each
-    A_n = D alpha_n = (-1)^(n-1) (d-n)! N!/n! an integer, and the sum runs in
-    Horner form D g = A_1 K- f + (z.w)(A_2 K-^2 f + (z.w)(A_3 K-^3 f + ...)).
+    f - (z.w) g is the component of f annihilated by K-.  D = d!/(d-N)! N! makes
+    each A_n = D alpha_n = (-1)^(n-1) (N!/n!) (d-n)!/(d-N)! an integer, and the
+    sum runs in Horner form D g = A_1 K- f + (z.w)(A_2 K-^2 f + (z.w)(...)).
     """
     d, n_max = p + q + 1, min(p, q)
     powers = []  # K-^n f for n = 1, 2, ... while nonzero
@@ -323,13 +320,11 @@ def trace_series(terms: Terms, p: int, q: int) -> Tuple[Terms, int]:
         powers.append(km)
     g: Terms = {}
     for n in range(len(powers), 0, -1):
-        weight = (-1) ** (n - 1) * math.factorial(d - n) * (
-            math.factorial(n_max) // math.factorial(n)
-        )
+        weight = (-1) ** (n - 1) * math.perm(n_max, n_max - n) * math.perm(d - n, n_max - n)
         g = zw_mul_terms(g)
         for m, c in powers[n - 1].items():
             g[m] = g.get(m, 0) + weight * c
-    return _nonzero(g), math.factorial(d) * math.factorial(n_max)
+    return _nonzero(g), math.perm(d, n_max) * math.factorial(n_max)
 
 
 def trace_free_terms(terms: Terms, p: int, q: int) -> Tuple[Terms, int]:
@@ -339,6 +334,23 @@ def trace_free_terms(terms: Terms, p: int, q: int) -> Tuple[Terms, int]:
     for m, c in zw_mul_terms(g).items():
         out[m] = out.get(m, 0) - c
     return _nonzero(out), den
+
+
+def run_trace_kernel(f: Polynomial, kernel) -> Polynomial:
+    """Run a trace kernel, (integer terms, p, q) -> (D h, D) with D fixed by
+    (p, q), on the rational and the sqrt(3) part of f's coefficients, cleared
+    to integers over one common denominator L; h / (D L) is that part of the
+    result."""
+    if not f:
+        return f
+    pq = f.bidegree()
+    if pq is None:
+        raise ValueError("polynomial is not bihomogeneous")
+    p, q = pq
+    rat, surd, den = f.channels()
+    rat, scale = kernel(rat, p, q)
+    surd = kernel(surd, p, q)[0] if surd else {}
+    return rebuild_polynomial(rat, surd, den * scale)
 
 
 @lru_cache(maxsize=None)

@@ -165,16 +165,13 @@ def build_states(max_pq: int) -> List[NormalizedState]:
     return [basis_state(k) for k in enumerate_basis_keys(max_pq)]
 
 
-def suite_basis_orthonormality(max_pq: int,
-                               states: List[NormalizedState] | None = None) -> Dict:
+def suite_basis_orthonormality(max_pq: int, states: List[NormalizedState]) -> Dict:
     """Closed-form norms vs the Gaussian inner product, pairwise orthogonality,
     the d(p,q) state count at m = k, and completeness: a state of level
     n = m - k has bidegree (p+n, q+n), and each bidegree (P, Q) holds as many
     states as monomials, C(P+2,2) C(Q+2,2). The corpus stops at level
     TOP_LEVEL, so only bidegrees with min(P, Q) <= TOP_LEVEL are complete."""
     tally = _Tally()
-    if states is None:
-        states = build_states(max_pq)
     # unit norm: stored norm_sq is the exact inner product; confront it with the
     # closed-form normalization constants
     for st in states:
@@ -200,16 +197,13 @@ def suite_basis_orthonormality(max_pq: int,
     return tally.result("basis_orthonormality", states=len(states), max_pq=max_pq)
 
 
-def suite_kminus_annihilation(max_pq: int,
-                              states: List[NormalizedState] | None = None) -> Dict:
+def suite_kminus_annihilation(max_pq: int, states: List[NormalizedState]) -> Dict:
     """m = k states are killed by K-; raised states peel back to them exactly.
 
     The peeling route is independent of the constructive multiply: the trace
     projector certifies f0 = 0 and the cofactor recovers the z.w quotient.
     """
     tally = _Tally()
-    if states is None:
-        states = build_states(max_pq)
     base_polys = {}
     for st in states:
         if st.key.m2 == k_of(st.key.rep):
@@ -231,12 +225,10 @@ def suite_kminus_annihilation(max_pq: int,
     return tally.result("kminus_annihilation", max_pq=max_pq)
 
 
-def suite_casimir(max_pq: int, states: List[NormalizedState] | None = None) -> Dict:
+def suite_casimir(max_pq: int, states: List[NormalizedState]) -> Dict:
     """Casimir eigenvalue k(1-k) on every state, the K+^n K-^n eigenvalue, and
     on each m = k state its labels: J3 = M and Q8 = (sqrt 3/2) Y."""
     tally = _Tally()
-    if states is None:
-        states = build_states(max_pq)
     j3, q8 = su2_ladder("J3"), su3_generator(8)
     for st in states:
         tally(sp2r_casimir_check(st), "casimir", st.key)
@@ -268,7 +260,7 @@ def random_bihomogeneous(p: int, q: int, rng: random.Random) -> Polynomial:
     return Polynomial(terms)
 
 
-def suite_trace_projector(samples: int, max_each: int, seed: int = 0) -> Dict:
+def suite_trace_projector(samples: int, max_each: int, seed: int) -> Dict:
     """Annihilation, idempotence, z.w divisibility and kernel of the projector,
     on every bidegree with p, q <= max_each."""
     rng = random.Random(seed)
@@ -398,7 +390,7 @@ def suite_induced_oracle(max_total: int) -> Dict:
     return tally.result("induced_oracle")
 
 
-def suite_equivalence_isometry(samples: int, max_each: int, seed: int = 0) -> Dict:
+def suite_equivalence_isometry(samples: int, max_each: int, seed: int) -> Dict:
     """Inner products are carried exactly onto the sphere by the channel scaling,
     on trace-free inputs of bidegrees with p, q <= max_each."""
     rng = random.Random(seed)
@@ -447,7 +439,7 @@ def _nan_max(x: float, y: float) -> float:
     return y if y > x or math.isnan(y) else x
 
 
-def suite_numeric_equivariance(samples: int, seed: int = 0) -> Dict:
+def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
     """The float projector at bidegree (2,2), its commutation with the action
     there, and the representation property on degree <= (3,3), over seeded
     Haar samples. U(A) acts on each test monomial through the factored
@@ -489,7 +481,7 @@ def suite_numeric_equivariance(samples: int, seed: int = 0) -> Dict:
 
 
 def run_all(*, max_pq: int, degree: int, samples: int, numeric_samples: int,
-            seed: int = 0, numeric_checks: bool = False) -> List[Dict]:
+            numeric_checks: bool, seed: int = 0) -> List[Dict]:
     """All suites at the caller's sizes, sorted by suite name."""
     states = build_states(max_pq)
     suites = [

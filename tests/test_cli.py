@@ -298,6 +298,44 @@ def test_unreadable_input_file_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: cannot read")
 
 
+def _one_error_line(code, out, err, prefix):
+    return code == 2 and out == "" and err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_undecodable_input_file_exits_2(tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe[]")
+    for command in ("project", "map"):
+        result = _run_stdin("", command, "--input", str(path))
+        assert _one_error_line(*result, f"error: cannot read {path}: 'utf-8' codec"), result
+
+
+def test_undecodable_stdin_exits_2():
+    # a strictly decoding stdin, as PYTHONIOENCODING=utf-8:strict gives
+    for command in ("project", "map"):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe[]"), encoding="utf-8", errors="strict")
+        with mock.patch.object(sys, "stdin", stdin), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command])
+        result = code, out.getvalue(), err.getvalue()
+        assert _one_error_line(*result, "error: cannot read standard input: 'utf-8' codec")
+
+
+def test_deeply_nested_json_exits_2():
+    for command in ("project", "map"):
+        result = _run_stdin("[" * 100000 + "]" * 100000, command)
+        assert _one_error_line(*result, "error: bad polynomial JSON: maximum recursion depth")
+
+
+def test_json_number_too_long_to_convert_exits_2():
+    # a bare JSON number, where the string form would be a record error
+    doc = '[{"exps":[1,0,0,1,0,0],"num":' + "9" * 5000 + ',"den":"1"}]'
+    for command in ("project", "map"):
+        result = _run_stdin(doc, command)
+        assert _one_error_line(*result, "error: bad polynomial JSON: Exceeds the limit")
+
+
 def test_verify_rejects_bad_sizes(capsys):
     for argv in (
         ("--max-pq", "-1", "--samples", "-3"),

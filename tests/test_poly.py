@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,9 @@ from schwinger_su3.poly import (
     poly_to_json,
     poly_to_records,
     rebuild_polynomial,
+    run_trace_kernel,
+    trace_free_terms,
+    trace_series,
     zw_mul_terms,
 )
 from schwinger_su3.scalars import Qsqrt3
@@ -259,11 +263,13 @@ def test_product_with_zero_and_constant_factors(f):
 
 
 def test_product_with_an_unknown_operand_is_a_type_error():
+    # `*` takes two polynomials; `scale` is the one product with a scalar
     p = Polynomial.variable(1)
-    with pytest.raises(TypeError):
-        p * 0.5
-    with pytest.raises(TypeError):
-        0.5 * p
+    for bad in (0.5, 3, Fraction(1, 2), Qsqrt3(0, 1)):
+        with pytest.raises(TypeError):
+            p * bad
+        with pytest.raises(TypeError):
+            bad * p
 
 
 def test_sum_with_an_unknown_operand_is_a_type_error():
@@ -318,6 +324,35 @@ def test_trace_kernel_steps_match_the_slicing_route():
             for terms in inputs:
                 assert kminus_terms(terms) == _kminus_slicing(terms)
                 assert zw_mul_terms(terms) == _zw_mul_slicing(terms)
+
+
+def test_trace_kernel_runs_the_rational_and_sqrt3_halves_apart():
+    rng = random.Random(3)
+    root3 = Qsqrt3(0, 1)
+    for p, q in ((1, 1), (2, 1), (2, 2), (3, 2)):
+        terms = {m: Qsqrt3(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                 for m in monomials_of_bidegree(p, q)}
+        f = Polynomial(terms)
+        rat = Polynomial({m: c.rat for m, c in terms.items()})
+        surd = Polynomial({m: c.surd for m, c in terms.items()})
+        assert f == rat + surd.scale(root3)
+        for kernel in (trace_free_terms, trace_series):
+            halves = run_trace_kernel(rat, kernel) + run_trace_kernel(surd, kernel).scale(root3)
+            assert run_trace_kernel(f, kernel) == halves, (p, q, kernel)
+    assert run_trace_kernel(Polynomial.zero(), trace_series) == Polynomial.zero()
+    with pytest.raises(ValueError):
+        run_trace_kernel(Z1 + W1, trace_free_terms)
+
+
+def test_trace_series_without_a_trace_never_forms_a_factorial_of_the_degree():
+    # N = min(p, q) = 0 leaves nothing to remove, over D = d!/(d-N)! N! = 1,
+    # so no factorial of d = 10^6 + 1 is formed
+    m = (10**6, 0, 0, 0, 0, 0)
+    assert trace_series({m: 1}, 10**6, 0) == ({}, 1)
+    assert trace_free_terms({m: 5}, 10**6, 0) == ({m: 5}, 1)
+    # at (2, 2), d = 5 and N = 2: D = 5 * 4 * 2!
+    assert trace_series({(1, 1, 0, 1, 1, 0): 1}, 2, 2)[1] == 40
 
 
 def _add_reference(f, g):

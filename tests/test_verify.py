@@ -18,11 +18,11 @@ from schwinger_su3.poly import Polynomial
 
 
 @pytest.mark.parametrize("run", [
-    pytest.param(lambda: verify.suite_trace_projector(samples=0, max_each=4),
+    pytest.param(lambda: verify.suite_trace_projector(samples=0, max_each=4, seed=0),
                  id="trace_projector"),
-    pytest.param(lambda: verify.suite_equivalence_isometry(samples=0, max_each=4),
+    pytest.param(lambda: verify.suite_equivalence_isometry(samples=0, max_each=4, seed=0),
                  id="equivalence_isometry"),
-    pytest.param(lambda: verify.suite_numeric_equivariance(samples=0),
+    pytest.param(lambda: verify.suite_numeric_equivariance(samples=0, seed=0),
                  id="numeric_equivariance"),
     pytest.param(lambda: verify.suite_kernel_dimension(max_each=-1), id="kernel_dimension"),
     pytest.param(lambda: verify.suite_basis_orthonormality(max_pq=-1, states=[]),
@@ -80,7 +80,7 @@ def test_check_counts_at_small_sizes():
 
 
 def test_suite_with_one_passing_check_passes():
-    result = verify.suite_equivalence_isometry(samples=1, max_each=0)
+    result = verify.suite_equivalence_isometry(samples=1, max_each=0, seed=0)
     assert result["checks"] == 1 and result["passed"] is True
 
 
