@@ -94,10 +94,7 @@ def _rows(kind: str, rep: IrrepLabel, subgroup: str | None = None) -> list:
             {"p": p, "q": q, "rho": rho, "p_out": out.p, "q_out": out.q, "dim": dim(out)}
             for rho, out in enumerate(cg_series(p, q))
         ]
-    if kind == "mult":
-        return [{"subgroup": subgroup, "p": p, "q": q,
-                 "mult": induced_multiplicity(subgroup, rep)}]
-    raise CliError(f"unknown table kind {kind!r}")  # unreachable through argparse
+    return [{"subgroup": subgroup, "p": p, "q": q, "mult": induced_multiplicity(subgroup, rep)}]
 
 
 def _write_rows(fmt: str, columns, rows) -> None:

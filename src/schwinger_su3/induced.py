@@ -13,7 +13,7 @@ constraint; its anchors (total volume 1/2, traceless-channel constant
 1/(p+q+2)!) are pinned in the test suite.
 
 Channelwise scale factors sqrt((p+q+2)!) from the equivalence map are
-irrational, so they are carried as exact squared scales per bidegree channel;
+irrational, so they are read as exact squared scales per bidegree channel;
 inner products stay rational because cross-channel traceless contributions
 vanish and same-channel products square the scale.
 """
@@ -36,17 +36,18 @@ class TraceConditionError(ValueError):
 
 
 class SphereFunction(Record):
-    __slots__ = ("poly", "traceless", "channel_scale_sq")
+    """A polynomial in xi and conj(xi); a scaled one is an image of the
+    equivalence map, whose channel (p, q) carries the scale sqrt((p+q+2)!)."""
 
-    def __init__(self, poly: Polynomial, traceless: bool,
-                 channel_scale_sq: Dict[Channel, Fraction]):
+    __slots__ = ("poly", "traceless", "scaled")
+
+    def __init__(self, poly: Polynomial, traceless: bool, scaled: bool):
         _set(self, "poly", poly)
         _set(self, "traceless", traceless)
-        # squared scale per bidegree channel; absent channels scale by 1
-        _set(self, "channel_scale_sq", channel_scale_sq)
+        _set(self, "scaled", scaled)
 
     def scale_sq(self, channel: Channel) -> Fraction:
-        return self.channel_scale_sq.get(channel, Fraction(1))
+        return Fraction(math.factorial(sum(channel) + 2) if self.scaled else 1)
 
 
 def sphere_monomial_integral(holo: Tuple[int, int, int], anti: Tuple[int, int, int]) -> Fraction:
@@ -58,7 +59,7 @@ def sphere_monomial_integral(holo: Tuple[int, int, int], anti: Tuple[int, int, i
 
 def make_sphere_function(poly: Polynomial) -> SphereFunction:
     """Wrap a polynomial in xi/xi* variables, detecting tracelessness exactly."""
-    return SphereFunction(poly=poly, traceless=h0_membership(poly), channel_scale_sq={})
+    return SphereFunction(poly=poly, traceless=h0_membership(poly), scaled=False)
 
 
 def _sqrt_exact(x: Fraction) -> Fraction:
@@ -89,9 +90,7 @@ def sphere_inner_direct(phi: SphereFunction, psi: SphereFunction) -> Fraction:
                     # conj(phi) term xi^b1 xi*^a1 times psi term xi^a2 xi*^b2
                     holo = tuple(x + y for x, y in zip(b1, a2))
                     anti = tuple(x + y for x, y in zip(a1, b2))
-                    w = sphere_monomial_integral(holo, anti)
-                    if w:
-                        base += (c1 * c2).as_fraction() * w
+                    base += (c1 * c2).as_fraction() * sphere_monomial_integral(holo, anti)
             if base:
                 total += base * _sqrt_exact(phi.scale_sq(cp) * psi.scale_sq(cq))
     return total
@@ -137,14 +136,11 @@ def induced_inner_formula(phi: SphereFunction, psi: SphereFunction) -> Fraction:
 def equivalence_map(f: Polynomial) -> SphereFunction:
     """Map a K- annihilated Bargmann polynomial to its sphere-function image.
 
-    Each bidegree (p, q) channel is rescaled by sqrt((p+q+2)!), carried as
-    the exact squared scale (p+q+2)!.
+    Each bidegree (p, q) channel is rescaled by sqrt((p+q+2)!), read as the
+    exact squared scale (p+q+2)! (``SphereFunction.scale_sq``).
     """
     if not h0_membership(f):
         raise TraceConditionError(
             "equivalence map requires a trace-free (K- annihilated) input"
         )
-    scales: Dict[Channel, Fraction] = {}
-    for (p, q) in f.bidegree_split():
-        scales[(p, q)] = Fraction(math.factorial(p + q + 2))
-    return SphereFunction(poly=f, traceless=True, channel_scale_sq=scales)
+    return SphereFunction(poly=f, traceless=True, scaled=True)

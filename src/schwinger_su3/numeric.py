@@ -88,9 +88,7 @@ def group_factors(a: np.ndarray, p: int, q: int) -> Tuple[np.ndarray, np.ndarray
 def group_matrix(a: np.ndarray, p: int, q: int) -> np.ndarray:
     """U(A) on bidegree (p, q) in the order of monomials_of_bidegree(p, q):
     the Kronecker product S kron T of the factors (S, T) of group_factors."""
-    s, t = group_factors(a, p, q)
-    n = len(s) * len(t)
-    return (s[:, None, :, None] * t[None, :, None, :]).reshape(n, n)
+    return np.kron(*group_factors(a, p, q))
 
 
 def _sym_power(b: np.ndarray, p: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -155,15 +156,13 @@ class Polynomial:
         ra, sa, da = self.channels()
         rb, sb, db = other.channels()
         # (Ra + Sa u)(Rb + Sb u) = (Ra Rb + SQUARE Sa Sb) + (Ra Sb + Sa Rb) u,
-        # on integers over da db; an empty channel costs nothing
+        # on integers over da db; an empty Sa or Sb adds nothing
         rat = _convolve({}, ra, rb)
-        if sa and sb:
-            _convolve(rat, {m: Qsqrt3.SQUARE * c for m, c in sa.items()}, sb)
         surd: Terms = {}
         if sb:
+            _convolve(rat, {m: Qsqrt3.SQUARE * c for m, c in sa.items()}, sb)
             _convolve(surd, ra, sb)
-        if sa:
-            _convolve(surd, sa, rb)
+        _convolve(surd, sa, rb)
         return rebuild_polynomial(rat, surd, da * db)
 
     # -- bidegree grading ----------------------------------------------------
@@ -392,6 +391,11 @@ class PolyFormatError(ValueError):
     """Malformed wire-form polynomial."""
 
 
+def _brief(v) -> str:
+    """The repr of a bad wire value for an error line, cut to 60 characters."""
+    return reprlib.repr(v)[:60]
+
+
 def _wire_int(r: dict, key: str, default=None) -> int:
     """An integer field of a term record, given as an int or as an ASCII
     decimal string ``-?[0-9]+`` (no blanks, underscores or other digits)."""
@@ -405,7 +409,7 @@ def _wire_int(r: dict, key: str, default=None) -> int:
             pass
     elif isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise PolyFormatError(f"{key} must be an integer, got {v!r}")
+    raise PolyFormatError(f"{key} must be an integer, got {_brief(v)}")
 
 
 def _wire_fraction(r: dict, num: str, den: str, optional: bool = False) -> Fraction:
@@ -423,23 +427,21 @@ def poly_from_records(recs: list) -> Polynomial:
     terms: Dict[Monomial, Qsqrt3] = {}
     for r in recs:
         if not isinstance(r, dict):
-            raise PolyFormatError(f"term record must be an object, got {r!r}")
+            raise PolyFormatError(f"term record must be an object, got {_brief(r)}")
         exps = r.get("exps")
         if not (
             isinstance(exps, list)
             and len(exps) == NVARS
             and all(type(e) is int and e >= 0 for e in exps)
         ):
-            raise PolyFormatError(
-                f"exps must be a list of 6 non-negative ints, got {exps!r}"
-            )
+            raise PolyFormatError(f"exps must be a list of 6 non-negative ints, got {_brief(exps)}")
         m = tuple(exps)
         c = Qsqrt3(
             _wire_fraction(r, "num", "den"),
             _wire_fraction(r, "surd_num", "surd_den", optional=True),
         )
         if m in terms:
-            raise PolyFormatError(f"duplicate monomial {m} in serialized polynomial")
+            raise PolyFormatError(f"duplicate monomial {_brief(m)} in serialized polynomial")
         terms[m] = c  # zero coefficients go in Polynomial, after the duplicate check
     return Polynomial(terms)
 

@@ -15,11 +15,12 @@ base field, and share one arithmetic (``_QuadraticExtension``):
   coefficients.
 
 Since sqrt 3 only enters through lambda_8 and i only through lambda_2,
-lambda_5, lambda_7 and K2, nearly every value has b = 0: addition, negation
-and multiplication (also by an ``int``) then take a fast path that does one
-base-field operation instead of four.  An operand that cannot be coerced into
-the left operand's field yields ``NotImplemented``, so mixed ``Qsqrt3`` /
-``CScalar`` arithmetic works in both orders.
+lambda_5, lambda_7 and K2, nearly every value has b = 0: negation and
+multiplication (also by an ``int``) then take a fast path that does one
+base-field operation instead of four.  Addition has none; it does two either
+way, and subtraction adds the negated operand.  An operand that cannot be
+coerced into the left operand's field yields ``NotImplemented``, so mixed
+``Qsqrt3`` / ``CScalar`` arithmetic works in both orders.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class _QuadraticExtension:
     """Element a + b*u with u*u = SQUARE and a, b in a base field.
 
     A subclass sets ``SQUARE`` (a non-square in the base field), ``_ZERO``
-    (the base field's zero, shared by every b = 0 value) and ``_lift``
+    (the base field's zero, the b of every lifted value) and ``_lift``
     (coerces into the base field, raising ``TypeError``).  The operations are
     +, -, * and conjugation: the construction never divides an exact scalar,
     so there is no inverse."""
@@ -106,8 +107,6 @@ class _QuadraticExtension:
         other = self._peer(other)
         if other is None:
             return NotImplemented
-        if not self.b and not other.b:
-            return self._of(self.a + other.a, self._ZERO)
         return self._of(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
@@ -116,16 +115,10 @@ class _QuadraticExtension:
         return self._of(-self.a, -self.b if self.b else self._ZERO)
 
     def __sub__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         a, b = self.a, self.b

@@ -73,6 +73,11 @@ def test_cg_series_values():
     assert dim(IrrepLabel(2, 0)) * dim(IrrepLabel(0, 2)) == 27 + 8 + 1
 
 
+def test_cg_series_rejects_negative_labels():
+    with pytest.raises(ValueError):
+        cg_series(-1, 0)
+
+
 def test_cg_dimension_identity():
     for p in range(21):
         for q in range(21):

@@ -144,6 +144,13 @@ def test_state_bad_fraction_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_state_unparsable_fraction_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "state", "1", "1", "--I", "abc", "--M", "0", "--Y", "0", "--m", "5/2",
+    )
+    assert code == 2 and out == "" and err.startswith("error: cannot parse I='abc'")
+
+
 def _feed_stdin(monkeypatch, poly):
     text = json.dumps(poly_to_records(poly))
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -334,6 +341,22 @@ def test_json_number_too_long_to_convert_exits_2():
     for command in ("project", "map"):
         result = _run_stdin(doc, command)
         assert _one_error_line(*result, "error: bad polynomial JSON: Exceeds the limit")
+
+
+_EXPS = [1, 0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"exps": _EXPS, "num": "9" * 200000 + "x", "den": "1"}, "num"),
+    ({"exps": "e" * 50000, "num": "1", "den": "1"}, "exps"),
+    ({"exps": _EXPS, "num": json.loads("[" * 800 + "7" + "]" * 800), "den": "1"}, "num"),
+], ids=["long-num", "long-exps", "deep-num"])
+def test_bad_field_error_line_is_short(record, field):
+    # the value is echoed cut to 60 characters, not whole
+    for command in ("project", "map"):
+        code, out, err = _run_stdin(json.dumps([record]), command)
+        assert _one_error_line(code, out, err, f"error: bad polynomial JSON: {field} must be")
+        assert len(err.encode()) < 200, err
 
 
 def test_verify_rejects_bad_sizes(capsys):

@@ -180,14 +180,10 @@ def _u1_mult_one_more(mp):
 
 def _wrong_channel_scale(mp):
     # channels rescaled by sqrt((p+q+1)!) in place of sqrt((p+q+2)!)
-    original = verify.equivalence_map
+    def wrong_scale(self, channel):
+        return Fraction(math.factorial(sum(channel) + 1) if self.scaled else 1)
 
-    def wrong_scale(f):
-        image = original(f)
-        return image.replace(channel_scale_sq={
-            (p, q): Fraction(math.factorial(p + q + 1)) for p, q in image.channel_scale_sq})
-
-    mp.setattr(verify, "equivalence_map", wrong_scale)
+    mp.setattr(induced.SphereFunction, "scale_sq", wrong_scale)
 
 
 def _swap_inverse(mp):

@@ -258,6 +258,13 @@ def test_operator_equality_is_semantic():
         hash(z1)
 
 
+def test_operators_are_immutable_unequal_to_scalars_and_show_their_size():
+    with pytest.raises(AttributeError):
+        OperatorExpr.zero().terms = {}
+    assert (OperatorExpr.zero() == 3) is False
+    assert repr(sp2r_generator("J0")) == "OperatorExpr(7 terms)"
+
+
 def test_word_reorders_repeated_modes():
     # d1 d1 z1 z1 = z1^2 d1^2 + 4 z1 d1 + 2, built symbol by symbol and as
     # one product d1^2 . z1^2 that contracts two derivatives at once

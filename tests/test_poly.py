@@ -283,6 +283,22 @@ def test_sum_with_an_unknown_operand_is_a_type_error():
             bad - p
 
 
+def test_constructors_reject_bad_monomials_and_mode_indices():
+    with pytest.raises(ValueError):
+        Polynomial({(1, 2): 1})
+    with pytest.raises(ValueError):
+        Polynomial.monomial((1, 0, 0, -1, 0, 0))
+    for j in (0, 7):
+        with pytest.raises(ValueError):
+            Polynomial.variable(j)
+
+
+def test_polynomials_are_immutable_and_unequal_to_scalars():
+    with pytest.raises(AttributeError):
+        Z1.terms = {}
+    assert (Z1 == 3) is False
+
+
 def test_product_reads_the_field_constant_at_call_time(monkeypatch):
     f = Z1.scale(Qsqrt3(1, 1))
     monkeypatch.setattr(Qsqrt3, "SQUARE", 2)

@@ -78,6 +78,23 @@ def test_mixed_arithmetic_in_both_orders():
     assert one != i and i != one
 
 
+def test_scalars_are_immutable():
+    with pytest.raises(AttributeError):
+        Qsqrt3(1, 2).rat = 0
+
+
+def test_subtraction_is_the_sum_with_the_negated_operand():
+    x = Qsqrt3(Fraction(1, 2), 3)
+    assert x - 1 == Qsqrt3(Fraction(-1, 2), 3) and 1 - x == Qsqrt3(Fraction(1, 2), -3)
+    assert Fraction(1, 3) - x == Qsqrt3(Fraction(-1, 6), -3)
+    # an operand that cannot be negated, or is not in the field, is a TypeError
+    for bad in ("a", 0.5, None):
+        with pytest.raises(TypeError):
+            x - bad
+        with pytest.raises(TypeError):
+            bad - x
+
+
 def test_equal_values_share_one_hash():
     assert len({1, Fraction(1), Qsqrt3(1), CScalar(1)}) == 1
     assert len({Qsqrt3(0, 1), CScalar(Qsqrt3(0, 1))}) == 1
