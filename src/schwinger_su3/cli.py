@@ -37,13 +37,13 @@ class CliError(Exception):
 
 def _parse_scaled(text: str, scale: int, what: str) -> int:
     """Parse a half- or third-integer ("1/2", "0.5", "-1") into 2x or 3x form."""
+    brief = repr(text)[:60]  # an error line echoes the text once, cut
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"cannot parse {what}={text!r}: {exc}") from None
-    scaled = value * scale
+        scaled = Fraction(text) * scale
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"cannot parse {what}={brief}") from None
     if scaled.denominator != 1:
-        raise CliError(f"{what}={text!r} is not an integer multiple of 1/{scale}")
+        raise CliError(f"{what}={brief} is not an integer multiple of 1/{scale}")
     return int(scaled)
 
 

@@ -172,10 +172,9 @@ def suite_basis_orthonormality(max_pq: int, states: List[NormalizedState]) -> Di
     states as monomials, C(P+2,2) C(Q+2,2). The corpus stops at level
     TOP_LEVEL, so only bidegrees with min(P, Q) <= TOP_LEVEL are complete."""
     tally = _Tally()
-    # unit norm: stored norm_sq is the exact inner product; confront it with the
+    # basis_state stores the exact inner product as norm_sq; confront it with the
     # closed-form normalization constants
     for st in states:
-        tally(bargmann_inner(st.poly, st.poly).as_fraction() == st.norm_sq, "norm", st.key)
         tally(st.norm_sq == _predicted_norm_sq(st.key), "closed-form norm", st.key)
     # pairwise orthogonality
     for i in range(len(states)):
@@ -332,14 +331,10 @@ def suite_cg_counting() -> Dict:
     return tally.result("cg_counting")
 
 
-def traceless_channel_basis(p: int, q: int) -> List[Polynomial]:
-    """A spanning set of the traceless bidegree-(p, q) subspace."""
-    out = []
-    for m in monomials_of_bidegree(p, q):
-        f0 = traceless_project(Polynomial.monomial(m))
-        if f0:
-            out.append(f0)
-    return out
+def _trace_free_sphere_functions(monomials) -> list:
+    """Sphere functions of the monomials' trace-free parts (none is zero: z.w
+    divides no monomial); all monomials of a bidegree give a spanning set."""
+    return [make_sphere_function(traceless_project(Polynomial.monomial(m))) for m in monomials]
 
 
 def suite_induced_oracle(max_total: int) -> Dict:
@@ -371,15 +366,14 @@ def suite_induced_oracle(max_total: int) -> Dict:
     # oracle equivalence on traceless channels
     for p in range(max_total + 1):
         for q in range(max_total + 1 - p):
-            funcs = [make_sphere_function(f) for f in traceless_channel_basis(p, q)]
+            funcs = _trace_free_sphere_functions(monomials_of_bidegree(p, q))
             for i, phi in enumerate(funcs):
                 for psi in funcs[i:]:
                     tally(induced_inner_formula(phi, psi) == sphere_inner_direct(phi, psi),
                           "oracle", p, q)
     # cross-bidegree orthogonality of traceless functions
     chans = [(p, q) for p in range(3) for q in range(3)]
-    reps = {c: [make_sphere_function(f) for f in traceless_channel_basis(*c)[:3]]
-            for c in chans}
+    reps = {c: _trace_free_sphere_functions(monomials_of_bidegree(*c)[:3]) for c in chans}
     for c1 in chans:
         for c2 in chans:
             if c1 >= c2:

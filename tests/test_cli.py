@@ -359,6 +359,21 @@ def test_bad_field_error_line_is_short(record, field):
         assert len(err.encode()) < 200, err
 
 
+@pytest.mark.parametrize("flag, value, prefix", [
+    ("--I", "a" * 100000, "error: cannot parse I='" + "a" * 59 + "\n"),  # the whole line
+    ("--M", "1/" + "3" * 5000, "error: cannot parse M='1/333"),
+    ("--Y", "1/" + "3" * 4000, "error: Y='1/333"),
+    ("--m", "5/" + "\x00" * 1000, "error: cannot parse m='5/\\x00"),
+], ids=["letters", "too-many-digits", "not-a-multiple", "escaped"])
+def test_bad_quantum_number_error_line_is_short(capsys, flag, value, prefix):
+    # the value is echoed once, cut to 60 characters, after the flag's name
+    options = {"--I": "0", "--M": "0", "--Y": "0", "--m": "5/2", flag: value}
+    argv = [x for option in options.items() for x in option]
+    code, out, err = _run(capsys, "state", "1", "1", *argv)
+    assert _one_error_line(code, out, err, prefix)
+    assert len(err.encode()) < 200, err
+
+
 def test_verify_rejects_bad_sizes(capsys):
     for argv in (
         ("--max-pq", "-1", "--samples", "-3"),

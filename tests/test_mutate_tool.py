@@ -1,6 +1,7 @@
 """tools/mutate.py's site enumeration, on which the counts in MUTANTS.json rest:
-one site per swappable operator and per int constant, in source order, and a
-swap that the sweep can undo."""
+one site per swappable operator and per int constant, in source order, one
+always-true site per tally call with a condition, and a swap that the sweep
+can undo."""
 
 import ast
 import importlib.util
@@ -40,4 +41,25 @@ def test_swap_applies_and_restores_each_site():
         "x = a + b - c\ny = a < b < c\nx += 1",
         "x = a + b - c\ny = a < b <= c\nx -= 1",
         "x = a + b - c\ny = a < b <= c\nx += 2",
+    ]
+
+
+TALLY_SNIPPET = "tally(a == b, 'x')\nif c:\n    tally(not d, 'y', e)\nt.tally(f)\ntally()\n"
+
+
+def test_always_true_sites_are_the_tally_calls_with_a_condition():
+    tree = ast.parse(TALLY_SNIPPET)
+    found = [(line, col, label) for line, col, *_, label in mutate.tally_sites(tree)]
+    # neither a method named tally nor a call without arguments
+    assert found == [(1, 0, "tally -> True"), (3, 4, "tally -> True")]
+    original = ast.unparse(tree)
+    mutated = []
+    for _, _, node, field, index, value, _ in mutate.tally_sites(tree):
+        old = mutate._swap(node, field, index, value)
+        mutated.append(ast.unparse(tree))
+        mutate._swap(node, field, index, old)
+        assert ast.unparse(tree) == original
+    assert mutated == [
+        "tally(True, 'x')\nif c:\n    tally(not d, 'y', e)\nt.tally(f)\ntally()",
+        "tally(a == b, 'x')\nif c:\n    tally(True, 'y', e)\nt.tally(f)\ntally()",
     ]

@@ -292,14 +292,6 @@ def test_act_bargmann_acts_on_each_bidegree_part():
     assert numeric.act_bargmann(numeric.haar_random_su3(0), {}) == {}
 
 
-def test_group_matrix_is_the_kronecker_product_of_the_factors():
-    for seed in range(3):
-        a = numeric.haar_random_su3(seed)
-        for p, q in BIDEGREES:
-            s, t = numeric.group_factors(a, p, q)
-            assert np.array_equal(numeric.group_matrix(a, p, q), np.kron(s, t))
-
-
 def test_act_bargmann_matches_the_group_matrix_on_mixed_bidegrees():
     mixed = {
         m: complex(k % 5 - 2, (k % 3) / 4)
