@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .catalog import IrrepLabel, Record, WeightLabel, _set, iy_spectrum, k_of
+from .catalog import IrrepLabel, Record, WeightLabel, _brief, _set, iy_spectrum, k_of
 from .poly import (
     Monomial,
     Polynomial,
@@ -59,7 +59,7 @@ class BasisKey(Record):
     def __init__(self, rep: IrrepLabel, weight: WeightLabel, m2: int):
         k2 = k_of(rep)
         if m2 < k2 or (m2 - k2) % 2:
-            raise ValueError(f"m2={m2} invalid for 2k={k2}")
+            raise ValueError(f"m2={_brief(m2)} invalid for 2k={_brief(k2)}")
         _set(self, "rep", rep)
         _set(self, "weight", weight)
         _set(self, "m2", m2)

@@ -7,11 +7,17 @@ Half-integers are stored doubled (I2 = 2I, M2 = 2M) and hypercharge tripled
 from __future__ import annotations
 
 import operator
+import reprlib
 from fractions import Fraction
 from typing import List
 
 # sets a field of a new record, past Record.__setattr__
 _set = object.__setattr__
+
+
+def _brief(v) -> str:
+    """The repr of a bad value for an error line, cut to 60 characters."""
+    return reprlib.repr(v)[:60]
 
 
 class Record:
@@ -59,7 +65,7 @@ class IrrepLabel(Record):
 
     def __init__(self, p: int, q: int):
         if p < 0 or q < 0:
-            raise ValueError(f"irrep labels must be nonnegative, got ({p},{q})")
+            raise ValueError(f"irrep labels must be nonnegative, got ({_brief(p)},{_brief(q)})")
         _set(self, "p", p)
         _set(self, "q", q)
 
@@ -71,7 +77,7 @@ class WeightLabel(Record):
 
     def __init__(self, I2: int, M2: int, Y3: int, r: int, s: int):
         if abs(M2) > I2 or (M2 - I2) % 2:
-            raise InvalidWeightError(f"M2={M2} invalid for I2={I2}")
+            raise InvalidWeightError(f"M2={_brief(M2)} invalid for I2={_brief(I2)}")
         _set(self, "I2", I2)
         _set(self, "M2", M2)
         _set(self, "Y3", Y3)
@@ -139,7 +145,7 @@ def weight_from_rs(rep: IrrepLabel, r: int, s: int, M2: int | None = None) -> We
     """Weight label for the (r, s) multiplet; M defaults to its highest value I."""
     if not (0 <= r <= rep.p and 0 <= s <= rep.q):
         raise InvalidWeightError(
-            f"(r,s)=({r},{s}) outside [0,{rep.p}]x[0,{rep.q}]"
+            f"(r,s)=({_brief(r)},{_brief(s)}) outside [0,{_brief(rep.p)}]x[0,{_brief(rep.q)}]"
         )
     I2 = r + s
     Y3 = 3 * (r - s) + 2 * (rep.q - rep.p)
@@ -154,6 +160,7 @@ def weight_from_iy(rep: IrrepLabel, I2: int, Y3: int, M2: int | None = None) -> 
     r6 = 3 * I2 + Y3 + 2 * (p - q)
     s6 = 3 * I2 - Y3 + 2 * (q - p)
     if r6 % 6 or s6 % 6:
-        raise InvalidWeightError(f"(I2,Y3)=({I2},{Y3}) not integral for ({p},{q})")
+        raise InvalidWeightError(
+            f"(I2,Y3)=({_brief(I2)},{_brief(Y3)}) not integral for ({_brief(p)},{_brief(q)})")
     return weight_from_rs(rep, r6 // 6, s6 // 6, M2=M2)
 

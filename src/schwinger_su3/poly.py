@@ -6,6 +6,14 @@ A monomial is a tuple of six nonnegative exponents ordered
 xi*1, xi*2, xi*3).  Coefficients live in Q(sqrt 3); basis states and
 sphere functions only ever use the rational subfield.
 
+A ``Polynomial`` holds one value in up to two forms, each built at most
+once and only when read: the ``Qsqrt3`` term dict ``terms``, and the reduced
+integer channels (R, S, L) of ``channels``, on which products, sums,
+differences and trace removal run.  A result of those operations stores only
+its channels; its term dict is built on the first read of ``terms``, and
+``bool``, ``bidegree`` and ``==`` against another polynomial that stores
+channels never build it.
+
 The trace series behind trace removal (K- = sum_j d/dz_j d/dw_j, the z.w
 multiplier, and the cofactor series in Horner form) is a kernel on plain
 term dicts: it only adds coefficients and multiplies them by integers, so
@@ -18,12 +26,12 @@ from __future__ import annotations
 import json
 import math
 import re
-import reprlib
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple, TypeVar
 
+from .catalog import _brief
 from .scalars import Qsqrt3, ratio
 
 Monomial = Tuple[int, int, int, int, int, int]
@@ -52,8 +60,9 @@ def monomial_norm_sq(m: Monomial) -> int:
 
 class Polynomial:
     """Canonical sparse polynomial: a map monomial -> nonzero Qsqrt3.  One
-    rebuilt from integer channels also keeps their reduced form (see
-    ``channels``); one from the constructor or ``_of`` keeps none."""
+    from the constructor or ``_of`` stores its term dict, and its reduced
+    integer channels once ``channels`` is first called; one rebuilt from
+    channels stores them, and its term dict once ``terms`` is first read."""
 
     __slots__ = ("terms", "_cleared")
 
@@ -74,18 +83,19 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def _of(terms: Dict[Monomial, Qsqrt3], cleared=None) -> "Polynomial":
-        """Wrap an already canonical term dict, and its reduced cleared form
-        if known, without checking them."""
+    def _of(terms: Dict[Monomial, Qsqrt3]) -> "Polynomial":
+        """Wrap an already canonical term dict without checking it."""
         p = Polynomial.__new__(Polynomial)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_cleared", cleared)
+        object.__setattr__(p, "_cleared", None)
         return p
 
     def channels(self) -> Tuple[Terms, Terms, int]:
-        """``clear_terms(self.terms)``, read from the stored form when there is
-        one; callers share the dicts and must not mutate them."""
-        return self._cleared or clear_terms(self.terms)
+        """``clear_terms(self.terms)``, computed on the first call and stored;
+        callers share the dicts and must not mutate them."""
+        if self._cleared is None:
+            object.__setattr__(self, "_cleared", clear_terms(self.terms))
+        return self._cleared
 
     # -- constructors ------------------------------------------------------
 
@@ -169,14 +179,7 @@ class Polynomial:
 
     def bidegree(self) -> Tuple[int, int] | None:
         """(z-degree, w-degree) if bihomogeneous, else None.  Zero -> None."""
-        deg = None
-        for m in self.terms:
-            d = (m[0] + m[1] + m[2], m[3] + m[4] + m[5])
-            if deg is None:
-                deg = d
-            elif d != deg:
-                return None
-        return deg
+        return _common_bidegree(self.terms)
 
     def bidegree_split(self) -> Dict[Tuple[int, int], "Polynomial"]:
         """Partition into bihomogeneous components keyed by (p, q)."""
@@ -198,6 +201,45 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
+def _common_bidegree(monomials) -> Tuple[int, int] | None:
+    deg = None
+    for m in monomials:
+        d = (m[0] + m[1] + m[2], m[3] + m[4] + m[5])
+        if deg is None:
+            deg = d
+        elif d != deg:
+            return None
+    return deg
+
+
+class _Rebuilt(Polynomial):
+    """A polynomial that stores only its reduced channels. The first read of
+    ``terms`` builds and stores the term dict and makes it a plain
+    ``Polynomial``, so no other attribute read pays for the laziness."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(name)
+        # each part an ``int`` where it is integral and a ``Fraction`` otherwise
+        rat, surd, den = self._cleared
+        of = Qsqrt3._of
+        terms = {m: of(ratio(c, den), ratio(surd.get(m, 0), den)) for m, c in rat.items()}
+        terms.update((m, of(0, ratio(c, den))) for m, c in surd.items() if m not in rat)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "__class__", Polynomial)
+        return terms
+
+    def __bool__(self) -> bool:
+        rat, surd, _ = self._cleared
+        return bool(rat or surd)
+
+    def bidegree(self) -> Tuple[int, int] | None:
+        rat, surd, _ = self._cleared
+        return _common_bidegree((*rat, *surd))
+
+
 # -- integer channels --------------------------------------------------------------
 
 
@@ -214,17 +256,14 @@ def clear_terms(terms: Dict[Monomial, Qsqrt3]) -> Tuple[Terms, Terms, int]:
 
 def rebuild_polynomial(rat: Terms, surd: Terms, den: int) -> Polynomial:
     """Inverse of ``clear_terms``: the polynomial with coefficients
-    (rat[m] + surd[m] sqrt 3) / den, each part an ``int`` where it is integral
-    and a ``Fraction`` otherwise; zero coefficients go. It keeps the channels,
-    divided by their gcd with den, as its stored form."""
+    (rat[m] + surd[m] sqrt 3) / den; zero coefficients go. It stores the
+    channels, divided by their gcd with den, and builds its term dict only
+    when ``terms`` is read."""
     g = math.gcd(den, *rat.values(), *surd.values())
-    rat = {m: c // g for m, c in rat.items() if c}
-    surd = {m: c // g for m, c in surd.items() if c}
-    den //= g
-    of = Qsqrt3._of
-    terms = {m: of(ratio(c, den), ratio(surd.get(m, 0), den)) for m, c in rat.items()}
-    terms.update((m, of(0, ratio(c, den))) for m, c in surd.items() if m not in rat)
-    return Polynomial._of(terms, (rat, surd, den))
+    p = _Rebuilt.__new__(_Rebuilt)
+    object.__setattr__(p, "_cleared", ({m: c // g for m, c in rat.items() if c},
+                                       {m: c // g for m, c in surd.items() if c}, den // g))
+    return p
 
 
 def _scaled_sum(a: Terms, ka: int, b: Terms, kb: int) -> Terms:
@@ -389,11 +428,6 @@ def poly_to_records(f: Polynomial) -> list:
 
 class PolyFormatError(ValueError):
     """Malformed wire-form polynomial."""
-
-
-def _brief(v) -> str:
-    """The repr of a bad wire value for an error line, cut to 60 characters."""
-    return reprlib.repr(v)[:60]
 
 
 def _wire_int(r: dict, key: str, default=None) -> int:

@@ -364,9 +364,14 @@ def test_bad_field_error_line_is_short(record, field):
     ("--M", "1/" + "3" * 5000, "error: cannot parse M='1/333"),
     ("--Y", "1/" + "3" * 4000, "error: Y='1/333"),
     ("--m", "5/" + "\x00" * 1000, "error: cannot parse m='5/\\x00"),
-], ids=["letters", "too-many-digits", "not-a-multiple", "escaped"])
+    # values that parse, echoed cut by the weight and key checks
+    ("--I", "9" * 4000, "error: (r,s)=(999999999999999999...9999999999999999999,"),
+    ("--M", "9" * 4000, "error: M2=199999999999999999...9999999999999999998 invalid"),
+    ("--m", "9" * 4000, "error: m2=199999999999999999...9999999999999999998 invalid"),
+], ids=["letters", "too-many-digits", "not-a-multiple", "escaped", "huge-integral", "huge-M",
+        "huge-m"])
 def test_bad_quantum_number_error_line_is_short(capsys, flag, value, prefix):
-    # the value is echoed once, cut to 60 characters, after the flag's name
+    # each value is echoed once, cut to 60 characters
     options = {"--I": "0", "--M": "0", "--Y": "0", "--m": "5/2", flag: value}
     argv = [x for option in options.items() for x in option]
     code, out, err = _run(capsys, "state", "1", "1", *argv)
@@ -472,10 +477,11 @@ def test_negative_irrep_labels_exit_2(capsys):
         ("cg", "1", "-1"),
         ("mult", "SU2", "-1", "0"),
         ("state", "-1", "0", "--I", "0", "--M", "0", "--Y", "0", "--m", "2"),
+        ("dim", "-" + "9" * 4000, "1"),  # echoed cut to 60 characters
     ):
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
-        assert len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
 
 
 def test_library_value_error_is_not_a_usage_error(capsys, monkeypatch):

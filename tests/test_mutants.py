@@ -86,6 +86,27 @@ class _NegatedLambda5:
         ]
 
 
+def _unhalved_casimir(mp):
+    # K+K- + K-K+ - J0^2, the sp(2,R) Casimir without its 1/2
+    @functools.cache
+    def unhalved():
+        kplus, kminus, j0 = map(basis._generator, ("Kplus", "Kminus", "J0"))
+        return kplus.compose(kminus) + kminus.compose(kplus) - j0.compose(j0)
+
+    mp.setattr(basis, "_casimir", unhalved)
+
+
+def _raise_ratio_shifted(mp):
+    # (m-k)! (m+k)! / (2k)!: each K+ K- level's factor m+k-1 read one too
+    # large; right at m = k only
+    def shifted(rep, m2_target):
+        k2 = catalog.k_of(rep)
+        rho = (m2_target - k2) // 2
+        return Fraction(math.factorial(rho) * math.factorial(rho + k2), math.factorial(k2))
+
+    mp.setattr(verify, "raise_norm_ratio", shifted)
+
+
 def _drop_cn_sign(mp):
     # the closed form without its (-1)^n; C_0 = 1 still holds
     original = verify.cn_coeffs
@@ -245,6 +266,12 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
     # every m = k state but the Y = 0 vacuum carries the wrong Q8 eigenvalue
     ("y3-flipped", 5, _flip_hypercharge, _on_states(verify.suite_casimir, 1),
      {"failures": 6, "first_failure": _prefix("Q8 ")}),
+    # all 21 states miss the Casimir eigenvalue k(1-k)
+    ("casimir-unhalved", 5, _unhalved_casimir, _on_states(verify.suite_casimir, 1),
+     {"failures": 21, "first_failure": _prefix("casimir ")}),
+    # the 14 states with m > k miss the K+^n K-^n eigenvalue
+    ("raise-ratio-shifted", 5, _raise_ratio_shifted, _on_states(verify.suite_casimir, 1),
+     {"failures": 14, "first_failure": _prefix("K+^n K-^n ")}),
     ("trace-weight-a3", 6, _trace_weight_one_larger(3),
      lambda: verify.suite_trace_projector(samples=2, max_each=3, seed=0),
      {"checks": 114, "failures": 8, "first_failure": "annihilation 3 3 0"}),

@@ -27,7 +27,7 @@ from schwinger_su3.poly import (
     trace_series,
     zw_mul_terms,
 )
-from schwinger_su3.scalars import Qsqrt3
+from schwinger_su3.scalars import Qsqrt3, ratio
 
 Z1 = Polynomial.variable(1)
 Z2 = Polynomial.variable(2)
@@ -424,7 +424,7 @@ def test_rebuilt_polynomials_store_the_reduced_cleared_form(f, g):
     _assert_reduced(_rebuilt(f))
     _assert_reduced(f * g)
     _assert_reduced(_rebuilt(f) * Polynomial.constant(Fraction(6, 5)))
-    # the constructor and _of store nothing
+    # the constructor and _of store no channels until `channels()` is called
     assert Polynomial(dict(f.terms))._cleared is None
     assert (-f)._cleared is None and f.scale(3)._cleared is None
 
@@ -480,3 +480,79 @@ def test_reading_a_rebuilt_polynomial_leaves_it_unchanged(f):
     f0 * ZW, ZW * f0, f0 * f0
     assert f0.terms == terms and f0._cleared == cleared
     _assert_reduced(f0)
+
+
+def _eager_terms(rat, surd, den):
+    """The reference route: the term dict of (rat[m] + surd[m] sqrt 3) / den,
+    built eagerly from the reduced channels, each part an ``int`` where it is
+    integral and a ``Fraction`` otherwise."""
+    g = math.gcd(den, *rat.values(), *surd.values())
+    rat = {m: c // g for m, c in rat.items() if c}
+    surd = {m: c // g for m, c in surd.items() if c}
+    den //= g
+    terms = {m: Qsqrt3._of(ratio(c, den), ratio(surd.get(m, 0), den)) for m, c in rat.items()}
+    terms.update((m, Qsqrt3._of(0, ratio(c, den))) for m, c in surd.items() if m not in rat)
+    return terms
+
+
+def _terms_built(f):
+    """Whether f holds its term dict, read without building it."""
+    return type(f) is Polynomial
+
+
+# monomials of two bidegrees, so that some channel dicts are bihomogeneous
+_channel_monomials = st.sampled_from(monomials_of_bidegree(1, 1) + monomials_of_bidegree(2, 0)[:3])
+_int_channel = st.dictionaries(_channel_monomials, st.integers(-12, 12), max_size=5)
+# (rat, surd, den), all scaled by a common factor that the rebuild divides out
+channel_triples = st.tuples(_int_channel, _int_channel, st.integers(1, 12), st.integers(1, 6)).map(
+    lambda t: ({m: t[3] * c for m, c in t[0].items()},
+               {m: t[3] * c for m, c in t[1].items()}, t[3] * t[2])
+)
+
+
+@given(channel_triples, channel_triples)
+def test_lazy_terms_match_the_eager_rebuild(a, b):
+    f, g = rebuild_polynomial(*a), rebuild_polynomial(*b)
+    ref_f, ref_g = _eager_terms(*a), _eager_terms(*b)
+    before = (bool(f), f.bidegree(), copy.deepcopy(f.channels()), f == g, g == f)
+    assert not _terms_built(f) and not _terms_built(g)
+    assert before == (bool(ref_f), Polynomial(ref_f).bidegree(), clear_terms(ref_f),
+                      ref_f == ref_g, ref_f == ref_g)
+    assert f.terms == ref_f and _canonical(f) and _terms_built(f)
+    assert f.terms is f.terms
+    assert (bool(f), f.bidegree(), f.channels(), f == g, g == f) == before
+    assert f == Polynomial(ref_f) and Polynomial(ref_f) == f
+    with pytest.raises(AttributeError):
+        g.terms = {}
+    with pytest.raises(AttributeError):
+        g.coefficients
+
+
+def test_channels_are_cleared_once_and_stored():
+    f = Z1.scale(Fraction(1, 2)) + W2.scale(Qsqrt3(0, Fraction(1, 3)))
+    f = Polynomial(dict(f.terms))
+    assert f._cleared is None
+    assert f.channels() is f.channels() == ({(1, 0, 0, 0, 0, 0): 3}, {(0, 0, 0, 0, 1, 0): 2}, 6)
+
+
+def test_the_trace_sweep_chain_builds_no_qsqrt3(monkeypatch):
+    # the checks of the trace-sweep workload, on a constructor-built f whose
+    # terms and channels were read beforehand, run on channels only
+    rng = random.Random(5)
+    f = Polynomial({m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                    for m in monomials_of_bidegree(2, 2)})
+    g = Polynomial({m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                    for m in monomials_of_bidegree(1, 1)})
+    for h in (f, g):
+        h.terms, h.bidegree(), h.channels()
+    made = []
+    of = Qsqrt3._of.__func__
+    monkeypatch.setattr(Qsqrt3, "_of", classmethod(lambda cls, a, b: made.append(1) or of(cls, a, b)))
+    f0 = traceless_project(f)
+    assert f0 and traceless_project(f0) == f0
+    assert not traceless_project(ZW * g)
+    assert f - f0 == ZW * zw_cofactor(f)
+    assert made == []
+    # the first read of the terms builds them
+    f0.terms
+    assert len(made) == len(f0.channels()[0].keys() | f0.channels()[1].keys()) > 0
