@@ -29,6 +29,7 @@ from .poly import (
     run_trace_kernel,
     trace_free_terms,
     trace_series,
+    wire_rational,
 )
 from .scalars import RatLike
 
@@ -99,13 +100,7 @@ def cn_coeffs(p: int, q: int, r: int, s: int) -> List[Fraction]:
 def hw_norm_constant_sq(p: int, q: int, r: int, s: int) -> Fraction:
     """Squared normalization constant of the highest-weight closed form."""
     return Fraction(
-        math.factorial(r)
-        * math.factorial(s)
-        * math.factorial(r + s + 1)
-        * math.factorial(p - r)
-        * math.factorial(q - s)
-        * math.factorial(p + s + 1)
-        * math.factorial(q + r + 1),
+        math.prod(map(math.factorial, (r, s, r + s + 1, p - r, q - s, p + s + 1, q + r + 1))),
         math.factorial(p + q + 1),
     )
 
@@ -290,9 +285,6 @@ def state_to_dict(state: NormalizedState) -> dict:
             "m2": state.key.m2,
         },
         "terms": poly_to_records(state.poly),
-        "norm_sq": {
-            "num": str(state.norm_sq.numerator),
-            "den": str(state.norm_sq.denominator),
-        },
+        "norm_sq": wire_rational(state.norm_sq, ""),
     }
 

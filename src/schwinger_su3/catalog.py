@@ -17,7 +17,10 @@ _set = object.__setattr__
 
 def _brief(v) -> str:
     """The repr of a bad value for an error line, cut to 60 characters."""
-    return reprlib.repr(v)[:60]
+    try:
+        return reprlib.repr(v)[:60]
+    except ValueError:  # an int with more digits than the interpreter prints
+        return f"<int of {v.bit_length()} bits>"
 
 
 class Record:
@@ -113,8 +116,7 @@ def iy_spectrum(rep: IrrepLabel) -> List[WeightLabel]:
 
 def cg_series(p: int, q: int) -> List[IrrepLabel]:
     """(p,0) x (0,q) = sum of (p - rho, q - rho) for rho = 0..min(p, q)."""
-    if p < 0 or q < 0:
-        raise ValueError("p, q must be nonnegative")
+    IrrepLabel(p, q)  # a negative label raises here
     return [IrrepLabel(p - rho, q - rho) for rho in range(min(p, q) + 1)]
 
 
@@ -141,26 +143,26 @@ def induced_multiplicity(subgroup: str, rep: IrrepLabel) -> int:
     raise ValueError(f"unknown subgroup {subgroup!r}; expected one of {SUBGROUPS}")
 
 
-def weight_from_rs(rep: IrrepLabel, r: int, s: int, M2: int | None = None) -> WeightLabel:
-    """Weight label for the (r, s) multiplet; M defaults to its highest value I."""
+def weight_from_rs(rep: IrrepLabel, r: int, s: int) -> WeightLabel:
+    """Label of the (r, s) multiplet at its highest weight M = I; another M
+    is ``.replace(M2=...)`` of it."""
     if not (0 <= r <= rep.p and 0 <= s <= rep.q):
         raise InvalidWeightError(
             f"(r,s)=({_brief(r)},{_brief(s)}) outside [0,{_brief(rep.p)}]x[0,{_brief(rep.q)}]"
         )
     I2 = r + s
     Y3 = 3 * (r - s) + 2 * (rep.q - rep.p)
-    if M2 is None:
-        M2 = I2
-    return WeightLabel(I2=I2, M2=M2, Y3=Y3, r=r, s=s)
+    return WeightLabel(I2=I2, M2=I2, Y3=Y3, r=r, s=s)
 
 
-def weight_from_iy(rep: IrrepLabel, I2: int, Y3: int, M2: int | None = None) -> WeightLabel:
-    """Invert r = I + Y/2 + (p-q)/3, s = I - Y/2 + (q-p)/3; exact in sixths."""
+def weight_from_iy(rep: IrrepLabel, I2: int, Y3: int) -> WeightLabel:
+    """The (I, Y) multiplet's label at M = I, from r = I + Y/2 + (p-q)/3 and
+    s = I - Y/2 + (q-p)/3, exact in sixths."""
     p, q = rep.p, rep.q
     r6 = 3 * I2 + Y3 + 2 * (p - q)
     s6 = 3 * I2 - Y3 + 2 * (q - p)
     if r6 % 6 or s6 % 6:
         raise InvalidWeightError(
             f"(I2,Y3)=({_brief(I2)},{_brief(Y3)}) not integral for ({_brief(p)},{_brief(q)})")
-    return weight_from_rs(rep, r6 // 6, s6 // 6, M2=M2)
+    return weight_from_rs(rep, r6 // 6, s6 // 6)
 

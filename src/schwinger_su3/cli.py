@@ -22,6 +22,7 @@ from fractions import Fraction
 from .catalog import (
     SUBGROUPS,
     IrrepLabel,
+    _brief,
     cg_series,
     dim,
     induced_multiplicity,
@@ -36,14 +37,15 @@ class CliError(Exception):
 
 
 def _parse_scaled(text: str, scale: int, what: str) -> int:
-    """Parse a half- or third-integer ("1/2", "0.5", "-1") into 2x or 3x form."""
-    brief = repr(text)[:60]  # an error line echoes the text once, cut
+    """Parse a half- or third-integer ("1/2", "0.5", "-1") into 2x or 3x form;
+    a value past the interpreter's digit limit fails, in digits or as 1e5000."""
     try:
         scaled = Fraction(text) * scale
+        str(scaled)  # a ValueError past the digit limit
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"cannot parse {what}={brief}") from None
+        raise CliError(f"cannot parse {what}={_brief(text)}") from None
     if scaled.denominator != 1:
-        raise CliError(f"{what}={brief} is not an integer multiple of 1/{scale}")
+        raise CliError(f"{what}={_brief(text)} is not an integer multiple of 1/{scale}")
     return int(scaled)
 
 
@@ -141,6 +143,9 @@ def cmd_mult(args) -> int:
     return 0
 
 
+MAX_LEVEL = 100  # the highest level m - k that ``state`` builds, one z.w product each
+
+
 def cmd_state(args) -> int:
     from .basis import BasisKey, basis_state, state_to_dict
 
@@ -150,10 +155,12 @@ def cmd_state(args) -> int:
     Y3 = _parse_scaled(args.Y, 3, "Y")
     m2 = _parse_scaled(args.m, 2, "m")
     try:
-        weight = weight_from_iy(rep, I2, Y3, M2=M2)
+        weight = weight_from_iy(rep, I2, Y3).replace(M2=M2)
         key = BasisKey(rep=rep, weight=weight, m2=m2)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if m2 - k_of(rep) > 2 * MAX_LEVEL:
+        raise CliError(f"--m={_brief(args.m)}: the level m - k is above {MAX_LEVEL}")
     st = basis_state(key)
     if args.json:
         print(_dump_json(state_to_dict(st)))
@@ -227,25 +234,16 @@ def cmd_project(args) -> int:
 
 def cmd_map(args) -> int:
     from .induced import TraceConditionError, equivalence_map
-    from .poly import poly_to_records
+    from .poly import poly_to_records, wire_rational
 
     f = _read_poly(args)
     try:
         sf = equivalence_map(f)
     except TraceConditionError as exc:
         raise CliError(str(exc)) from None
-    channels = []
-    for (p, q), part in sorted(sf.poly.bidegree_split().items()):
-        scale = sf.scale_sq((p, q))
-        channels.append(
-            {
-                "p": p,
-                "q": q,
-                "scale_sq_num": str(scale.numerator),
-                "scale_sq_den": str(scale.denominator),
-                "terms": poly_to_records(part),
-            }
-        )
+    channels = [{"p": p, "q": q, **wire_rational(sf.scale_sq((p, q)), "scale_sq_"),
+                 "terms": poly_to_records(part)}
+                for (p, q), part in sorted(sf.poly.bidegree_split().items())]
     print(_dump_json({"channels": channels}))
     return 0
 
@@ -326,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="magnetic quantum number; a negative one as --M=-1/2")
     p.add_argument("--Y", required=True,
                    help="hypercharge, a third-integer fraction; a negative one as --Y=-1/3")
-    p.add_argument("--m", required=True, help="sp(2,R) weight, half-integer >= (p+q+3)/2")
+    p.add_argument("--m", required=True,
+                   help=f"sp(2,R) weight, half-integer from k = (p+q+3)/2 to k + {MAX_LEVEL}")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--latex", action="store_true")

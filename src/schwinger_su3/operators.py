@@ -101,21 +101,14 @@ class OperatorExpr:
     # -- application -----------------------------------------------------------
 
     def apply(self, f: Polynomial) -> Tuple[Polynomial, Polynomial]:
-        """Apply to a real polynomial; returns (real part, imaginary part)."""
+        """Apply to a real polynomial; returns (real part, imaginary part). d^beta
+        weighs z^m by prod_j perm(m_j, beta_j), 0 where beta_j > m_j."""
         re: Dict[Monomial, Qsqrt3] = {}
         im: Dict[Monomial, Qsqrt3] = {}
         for (alpha, beta), coeff in self.terms.items():
             for m, c in f.terms.items():
-                fall = 1
-                ok = True
-                for e, b in zip(m, beta):
-                    if b:
-                        if b > e:
-                            ok = False
-                            break
-                        for t in range(b):
-                            fall *= e - t
-                if not ok:
+                fall = math.prod(map(math.perm, m, beta))
+                if not fall:
                     continue
                 target = tuple(e - b + a for e, b, a in zip(m, beta, alpha))
                 base = c * fall

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Tuple, TypeVar
 
 from .catalog import _brief
-from .scalars import Qsqrt3, ratio
+from .scalars import Qsqrt3, RatLike, ratio
 
 Monomial = Tuple[int, int, int, int, int, int]
 
@@ -52,10 +52,7 @@ def charge(m: Monomial) -> Tuple[int, int, int]:
 
 def monomial_norm_sq(m: Monomial) -> int:
     """Squared Bargmann norm of a monomial: the product of exponent factorials."""
-    out = 1
-    for e in m:
-        out *= math.factorial(e)
-    return out
+    return math.prod(map(math.factorial, m))
 
 
 class Polynomial:
@@ -409,21 +406,15 @@ def monomial_index(p: int, q: int) -> Mapping[Monomial, int]:
 # -- serialization -----------------------------------------------------------
 
 
+def wire_rational(x: RatLike, prefix: str) -> Dict[str, str]:
+    """A rational as the wire's ``<prefix>num``/``<prefix>den`` strings."""
+    return {prefix + "num": str(x.numerator), prefix + "den": str(x.denominator)}
+
+
 def poly_to_records(f: Polynomial) -> list:
     """Wire form: list of term records, lexicographic by exponents."""
-    recs = []
-    for m in sorted(f.terms):
-        c = f.terms[m]
-        recs.append(
-            {
-                "exps": list(m),
-                "num": str(c.rat.numerator),
-                "den": str(c.rat.denominator),
-                "surd_num": str(c.surd.numerator),
-                "surd_den": str(c.surd.denominator),
-            }
-        )
-    return recs
+    return [{"exps": list(m), **wire_rational(c.rat, ""), **wire_rational(c.surd, "surd_")}
+            for m, c in sorted(f.terms.items())]
 
 
 class PolyFormatError(ValueError):
@@ -446,11 +437,12 @@ def _wire_int(r: dict, key: str, default=None) -> int:
     raise PolyFormatError(f"{key} must be an integer, got {_brief(v)}")
 
 
-def _wire_fraction(r: dict, num: str, den: str, optional: bool = False) -> Fraction:
-    n = _wire_int(r, num, 0 if optional else None)
-    d = _wire_int(r, den, 1 if optional else None)
+def _wire_fraction(r: dict, prefix: str, optional: bool) -> Fraction:
+    """Read back ``wire_rational``; if optional, num defaults to 0, den to 1."""
+    n = _wire_int(r, prefix + "num", 0 if optional else None)
+    d = _wire_int(r, prefix + "den", 1 if optional else None)
     if d == 0:
-        raise PolyFormatError(f"{den} is zero")
+        raise PolyFormatError(f"{prefix}den is zero")
     return Fraction(n, d)
 
 
@@ -470,10 +462,7 @@ def poly_from_records(recs: list) -> Polynomial:
         ):
             raise PolyFormatError(f"exps must be a list of 6 non-negative ints, got {_brief(exps)}")
         m = tuple(exps)
-        c = Qsqrt3(
-            _wire_fraction(r, "num", "den"),
-            _wire_fraction(r, "surd_num", "surd_den", optional=True),
-        )
+        c = Qsqrt3(_wire_fraction(r, "", False), _wire_fraction(r, "surd_", True))
         if m in terms:
             raise PolyFormatError(f"duplicate monomial {_brief(m)} in serialized polynomial")
         terms[m] = c  # zero coefficients go in Polynomial, after the duplicate check

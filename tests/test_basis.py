@@ -52,7 +52,7 @@ W2 = Polynomial.variable(5)
 
 def _key(p, q, I2, M2, Y3, m2):
     rep = IrrepLabel(p, q)
-    return BasisKey(rep=rep, weight=weight_from_iy(rep, I2, Y3, M2=M2), m2=m2)
+    return BasisKey(rep=rep, weight=weight_from_iy(rep, I2, Y3).replace(M2=M2), m2=m2)
 
 
 def test_cn_coeffs_examples():

@@ -74,8 +74,17 @@ def test_cg_series_values():
 
 
 def test_cg_series_rejects_negative_labels():
-    with pytest.raises(ValueError):
-        cg_series(-1, 0)
+    # the same check and message as the label itself
+    for p, q in ((-1, 0), (2, -3)):
+        with pytest.raises(ValueError, match=r"irrep labels must be nonnegative, got \("):
+            cg_series(p, q)
+
+
+def test_label_errors_echo_an_unprintable_int_by_its_size():
+    # 10^5000 has more digits than the interpreter converts to text
+    with pytest.raises(ValueError) as exc:
+        IrrepLabel(-10**5000, 1)
+    assert str(exc.value) == "irrep labels must be nonnegative, got (<int of 16610 bits>,1)"
 
 
 def test_cg_dimension_identity():
@@ -107,6 +116,8 @@ def test_induced_multiplicities():
 def test_weight_conversion_examples():
     w = weight_from_rs(IrrepLabel(1, 0), 1, 0)
     assert (w.I, w.Y) == (Fraction(1, 2), Fraction(1, 3))
+    assert w.M2 == w.I2  # the highest weight; another M by replace
+    assert w.replace(M2=-1) == WeightLabel(I2=1, M2=-1, Y3=1, r=1, s=0)
     w = weight_from_iy(IrrepLabel(1, 1), 2, 0)  # I = 1, Y = 0
     assert (w.r, w.s) == (1, 1)
     with pytest.raises(InvalidWeightError):

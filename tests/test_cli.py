@@ -360,7 +360,7 @@ def test_bad_field_error_line_is_short(record, field):
 
 
 @pytest.mark.parametrize("flag, value, prefix", [
-    ("--I", "a" * 100000, "error: cannot parse I='" + "a" * 59 + "\n"),  # the whole line
+    ("--I", "a" * 100000, "error: cannot parse I='" + "a" * 12 + "..." + "a" * 13 + "'\n"),
     ("--M", "1/" + "3" * 5000, "error: cannot parse M='1/333"),
     ("--Y", "1/" + "3" * 4000, "error: Y='1/333"),
     ("--m", "5/" + "\x00" * 1000, "error: cannot parse m='5/\\x00"),
@@ -368,8 +368,13 @@ def test_bad_field_error_line_is_short(record, field):
     ("--I", "9" * 4000, "error: (r,s)=(999999999999999999...9999999999999999999,"),
     ("--M", "9" * 4000, "error: M2=199999999999999999...9999999999999999998 invalid"),
     ("--m", "9" * 4000, "error: m2=199999999999999999...9999999999999999998 invalid"),
+    # 10^5000 has more digits than the interpreter prints; like the same value
+    # written in digits, it does not parse
+    ("--I", "1e5000", "error: cannot parse I='1e5000'\n"),
+    ("--M", "1e5000", "error: cannot parse M='1e5000'\n"),
+    ("--m", "1e5000", "error: cannot parse m='1e5000'\n"),
 ], ids=["letters", "too-many-digits", "not-a-multiple", "escaped", "huge-integral", "huge-M",
-        "huge-m"])
+        "huge-m", "exponent-I", "exponent-M", "exponent-m"])
 def test_bad_quantum_number_error_line_is_short(capsys, flag, value, prefix):
     # each value is echoed once, cut to 60 characters
     options = {"--I": "0", "--M": "0", "--Y": "0", "--m": "5/2", flag: value}
@@ -377,6 +382,20 @@ def test_bad_quantum_number_error_line_is_short(capsys, flag, value, prefix):
     code, out, err = _run(capsys, "state", "1", "1", *argv)
     assert _one_error_line(code, out, err, prefix)
     assert len(err.encode()) < 200, err
+
+
+def test_state_level_above_the_bound_exits_2(capsys):
+    # basis_state multiplies by z.w once per level m - k; level 1000 is refused
+    # before any is built, level MAX_LEVEL is built
+    head = ["state", "0", "0", "--I", "0", "--M", "0", "--Y", "0", "--m"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *head, "2001/2")
+    assert time.perf_counter() - start < 2
+    assert _one_error_line(code, out, err, "error: --m='2001/2': the level m - k is above 100\n")
+    top = f"{2 * cli.MAX_LEVEL + 3}/2"
+    assert _run(capsys, *head, top)[0] == 0
+    code, out, err = _run(capsys, *head, f"{2 * cli.MAX_LEVEL + 5}/2")
+    assert _one_error_line(code, out, err, "error: --m=")
 
 
 def test_verify_rejects_bad_sizes(capsys):

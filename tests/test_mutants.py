@@ -61,17 +61,11 @@ def _double_norm_constant(mp):
     mp.setattr(basis, "hw_norm_constant_sq", doubled)
 
 
-def _short_moment_factorial(mp):
-    def moment(holo, anti):
-        # (|a|+1)! in place of (|a|+2)! in the denominator
-        if tuple(holo) != tuple(anti):
-            return Fraction(0)
-        return Fraction(math.prod(map(math.factorial, holo)),
-                        math.factorial(sum(holo) + 1))
-
-    # the direct route reads it in induced, the anchors in verify
-    mp.setattr(induced, "sphere_monomial_integral", moment)
-    mp.setattr(verify, "sphere_monomial_integral", moment)
+def _short_moment(holo, anti):
+    # (|a|+1)! in place of (|a|+2)! in the denominator
+    if tuple(holo) != tuple(anti):
+        return Fraction(0)
+    return Fraction(math.prod(map(math.factorial, holo)), math.factorial(sum(holo) + 1))
 
 
 class _NegatedLambda5:
@@ -113,11 +107,59 @@ def _drop_cn_sign(mp):
     mp.setattr(verify, "cn_coeffs", lambda *pqrs: [abs(c) for c in original(*pqrs)])
 
 
+def _first_lowered_key(change):
+    """Patch verify's key enumeration: the first key with M < I, which is at
+    m = k, becomes change(key), so the corpus keeps its size."""
+    def patch(mp):
+        original = verify.enumerate_basis_keys
+
+        def patched(max_pq):
+            keys = list(original(max_pq))
+            j = next(i for i, key in enumerate(keys) if key.weight.M2 < key.weight.I2)
+            keys[j] = change(keys[j])
+            return keys
+
+        mp.setattr(verify, "enumerate_basis_keys", patched)
+    return patch
+
+
+def _drop_top_multiplet(mp):
+    # the (r, s) = (p, q) multiplet missing from every spectrum
+    original = verify.iy_spectrum
+    mp.setattr(verify, "iy_spectrum", lambda rep: original(rep)[:-1])
+
+
+def _asymmetric_dim(mp):
+    # (p+1)^2 in place of (p+1)(q+1): right where p = q only
+    mp.setattr(verify, "dim", lambda rep: (rep.p + 1) ** 2 * (rep.p + rep.q + 2) // 2)
+
+
+def _moment_patch(moment):
+    # the direct route reads the moment in induced, the anchors in verify
+    def patch(mp):
+        mp.setattr(induced, "sphere_monomial_integral", moment)
+        mp.setattr(verify, "sphere_monomial_integral", moment)
+    return patch
+
+
+def _unselected_moment(holo, anti):
+    # the diagonal moment prod_j a_j! / (|a|+2)! for every pair, equal or not
+    return Fraction(math.prod(map(math.factorial, holo)), math.factorial(sum(holo) + 2))
+
+
+def _shifted_first_moment(holo, anti):
+    # (a1+1)! in place of a1!: a measure that is not SU(3)-invariant
+    if tuple(holo) != tuple(anti):
+        return Fraction(0)
+    return Fraction(math.factorial(holo[0] + 1) * math.prod(map(math.factorial, holo[1:])),
+                    math.factorial(sum(holo) + 2))
+
+
 def _flip_hypercharge(mp):
     original = catalog.weight_from_rs
 
-    def flipped(rep, r, s, M2=None):
-        w = original(rep, r, s, M2=M2)
+    def flipped(rep, r, s):
+        w = original(rep, r, s)
         return w.replace(Y3=-w.Y3)
 
     mp.setattr(catalog, "weight_from_rs", flipped)
@@ -260,6 +302,18 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
     # every state with r + s > 0 misses its closed-form norm
     ("norm-constant", 3, _double_norm_constant, _on_states(verify.suite_basis_orthonormality, 1),
      {"failures": 12, "first_failure": _prefix("closed-form norm")}),
+    # the first M < I key lists its M = I neighbour again; every count holds,
+    # and only the copy's overlap with its original fails
+    ("key-listed-twice", 3,
+     _first_lowered_key(lambda key: key.replace(weight=key.weight.replace(M2=key.weight.I2))),
+     _on_states(verify.suite_basis_orthonormality, 1),
+     {"failures": 1, "first_failure": _prefix("overlap ")}),
+    # the first M < I key moves one level past the corpus: (0, 1) has one m = k
+    # state short of d(0, 1) = 3, and bidegree (0, 1) one state short
+    ("m-value-dropped", 3,
+     _first_lowered_key(lambda key: key.replace(m2=key.m2 + 2 * (basis.TOP_LEVEL + 1))),
+     _on_states(verify.suite_basis_orthonormality, 1),
+     {"failures": 2, "first_failure": _prefix("state count ")}),
     ("trace-weight-a2", 4, _trace_weight_one_larger(2),
      _on_states(verify.suite_kminus_annihilation, 4),
      {"checks": 546, "failures": 184, "first_failure": _prefix("K- image ")}),
@@ -289,9 +343,26 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
      {"checks": 1167, "failures": 400, "first_failure": "cg series 1 1"}),
     ("u1-mult-one-more", 8, _u1_mult_one_more, verify.suite_cg_counting,
      {"failures": 15, "first_failure": "mult U1xU1 0 3"}),
-    ("moment-factorial", 9, _short_moment_factorial,
+    # all 121 spectra with p, q <= 10 run short, and 13 of the multiplicities
+    # read off them
+    ("spectrum-short", 8, _drop_top_multiplet, verify.suite_cg_counting,
+     {"failures": 134, "first_failure": "spectrum IrrepLabel(p=0, q=0)"}),
+    # 388 CG series, and the 110 spectra and conjugate pairs with p != q
+    ("dim-asymmetric", 8, _asymmetric_dim, verify.suite_cg_counting,
+     {"failures": 608, "first_failure": "cg series 1 1"}),
+    ("moment-factorial", 9, _moment_patch(_short_moment),
      lambda: verify.suite_induced_oracle(max_total=2),
      {"failures": 64, "first_failure": "volume"}),
+    # only the three unequal-triple anchors see the selection rule: the direct
+    # route pairs terms of one charge, whose triples are equal
+    ("moment-unselected", 9, _moment_patch(_unselected_moment),
+     lambda: verify.suite_induced_oracle(max_total=2),
+     {"failures": 3, "first_failure": _prefix("selection rule ")}),
+    # 21 channel constants, 4 constraints, 18 oracle pairs and 6
+    # cross-bidegree pairs
+    ("moment-first-shifted", 9, _moment_patch(_shifted_first_moment),
+     lambda: verify.suite_induced_oracle(max_total=2),
+     {"failures": 49, "first_failure": "channel constant 1 0"}),
     ("channel-scale", 10, _wrong_channel_scale,
      lambda: verify.suite_equivalence_isometry(samples=2, max_each=3, seed=7),
      {"checks": 3, "failures": 2, "first_failure": "pair 0 0"}),
