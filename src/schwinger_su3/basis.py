@@ -1,4 +1,4 @@
-"""Construction of the normalized SU(3) x Sp(2,R) basis states and trace removal.
+"""Construction of the normalized SU(3) x Sp(2,R) basis states.
 
 A state is built on one path: the trace-free part of its leading monomial
 z1^r z3^(p-r) w2^s w3^(q-s), made primitive over the integers, raised by
@@ -8,6 +8,10 @@ poly / sqrt(norm_sq).  The paper's closed form (the C_n of ``cn_coeffs`` and
 the normalization constants) builds no state: it only predicts the norms, so
 tests can confront it with the Gaussian-integral inner product of the
 projector-built states.
+
+Trace removal itself (``traceless_project``, ``zw_cofactor``) lives in
+``poly``, next to the trace kernel it runs; this module imports both, so
+``basis.traceless_project`` names the same function.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from .poly import (
     kminus_terms,
     monomials_of_bidegree,
     poly_to_records,
-    run_trace_kernel,
     trace_free_terms,
-    trace_series,
+    traceless_project,
     wire_rational,
+    zw_cofactor,
 )
 from .scalars import RatLike
 
@@ -180,21 +184,7 @@ def enumerate_basis_keys(max_pq: int) -> Iterator[BasisKey]:
                         yield BasisKey(rep=rep, weight=weight, m2=k2 + 2 * level)
 
 
-# -- trace removal --------------------------------------------------------------
-
-
-def traceless_project(f: Polynomial) -> Polynomial:
-    """Leading traceless part f0 of a bihomogeneous polynomial.
-
-    f0 = f - sum_n (-1)^(n-1) (p+q+1-n)!/(n! (p+q+1)!) (z.w)^n K-^n f,
-    the unique component annihilated by K-.
-    """
-    return run_trace_kernel(f, trace_free_terms)
-
-
-def zw_cofactor(f: Polynomial) -> Polynomial:
-    """g with f - traceless_project(f) = (z.w) g, read off the projector series."""
-    return run_trace_kernel(f, trace_series)
+# -- the trace condition and the sp(2,R) Casimir ---------------------------------
 
 
 def h0_membership(f: Polynomial) -> bool:

@@ -6,13 +6,14 @@ Exit codes: 0 success, 2 argument/validation error, 1 verification failure,
 
 Only ``catalog`` loads with this module; each other command imports the
 modules it runs inside its handler, so ``dim``, ``spectrum``, ``cg``, ``mult``
-and ``table`` start without the exact polynomial stack.
+and ``table`` start without the exact polynomial stack.  Each command also
+builds only its own subparser: ``main`` builds all of them only when the
+first argument names no command (``--help``, no argument, an unknown one).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -38,8 +39,14 @@ class CliError(Exception):
 
 def _parse_scaled(text: str, scale: int, what: str) -> int:
     """Parse a half- or third-integer ("1/2", "0.5", "-1") into 2x or 3x form;
-    a value past the interpreter's digit limit fails, in digits or as 1e5000."""
+    a value past the interpreter's digit limit fails, in digits or as 1e5000,
+    and so does an exponent past that limit, of either sign, before
+    ``Fraction`` expands it."""
     try:
+        _, e, exponent = text.lower().rpartition("e")
+        # a limit of 0 is none; an exponent int() refuses, Fraction refuses too
+        if e and abs(int(exponent)) > sys.get_int_max_str_digits() > 0:
+            raise ValueError(exponent)
         scaled = Fraction(text) * scale
         str(scaled)  # a ValueError past the digit limit
     except (ValueError, ZeroDivisionError):
@@ -105,6 +112,8 @@ def _write_rows(fmt: str, columns, rows) -> None:
     if fmt == "json":
         print(_dump_json([dict(zip(columns, r)) for r in picked]))
     else:
+        import csv
+
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(columns)
         w.writerows(picked)
@@ -221,8 +230,7 @@ def _read_poly(args):
 
 
 def cmd_project(args) -> int:
-    from .basis import traceless_project
-    from .poly import Polynomial, poly_to_records
+    from .poly import Polynomial, poly_to_records, traceless_project
 
     f = _read_poly(args)
     out = Polynomial.zero()
@@ -267,6 +275,9 @@ def cmd_verify(args) -> int:
     from . import verify
 
     start = time.perf_counter()
+    # the basis states that three suites share, which no suite's seconds cover
+    states = verify.build_states(args.max_pq)
+    build_seconds = round(time.perf_counter() - start, 4)
     suites = verify.run_all(
         max_pq=args.max_pq,
         degree=args.degree,
@@ -274,51 +285,35 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         numeric_checks=args.numeric,
         numeric_samples=args.numeric_samples,
+        states=states,
     )
-    # the whole run's wall time: the shared states that no suite's own
-    # seconds cover show as the gap to the suites' sum
     seconds = round(time.perf_counter() - start, 4)
     all_passed = all(s["passed"] for s in suites)
-    print(_dump_json({"pass": all_passed, "seconds": seconds, "suites": suites}))
+    print(_dump_json({"build_states_seconds": build_seconds, "pass": all_passed,
+                      "seconds": seconds, "suites": suites}))
     return 0 if all_passed else 1
 
 
 # -- parser ------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="schwinger-su3",
-        description="Exact SU(3) x Sp(2,R) oscillator basis toolkit",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dim", help="irrep dimension d(p,q)")
+def _pq(p) -> None:
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("spectrum", help="I-Y multiplet spectrum of (p,q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+
+def _pq_format(p) -> None:
+    _pq(p)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("cg", help="Clebsch-Gordan series (p,0) x (0,q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_cg)
 
-    p = sub.add_parser("mult", help="induced-representation multiplicity of (p,q)")
+def _mult_args(p) -> None:
     p.add_argument("subgroup", choices=SUBGROUPS)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=cmd_mult)
+    _pq(p)
 
-    p = sub.add_parser("state", help="construct a normalized basis state")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+
+def _state_args(p) -> None:
+    _pq(p)
     p.add_argument("--I", required=True, help="isospin, e.g. 1/2 or 0.5")
     p.add_argument("--M", required=True,
                    help="magnetic quantum number; a negative one as --M=-1/2")
@@ -329,38 +324,68 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--latex", action="store_true")
-    p.set_defaults(func=cmd_state)
 
-    p = sub.add_parser("project", help="remove traces from a polynomial (JSON in/out)")
+
+def _input_args(p) -> None:
     p.add_argument("--input", default="-", help="path to polynomial JSON, or - for stdin")
-    p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("map", help="equivalence map to a sphere function (JSON in/out)")
-    p.add_argument("--input", default="-", help="path to polynomial JSON, or - for stdin")
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("table", help="tabulate dims/spectra/cg/mult over a range")
+def _table_args(p) -> None:
     p.add_argument("kind", choices=("dims", "spectra", "cg", "mult"))
     p.add_argument("--max-p", type=int, default=3)
     p.add_argument("--max-q", type=int, default=3)
     p.add_argument("--subgroup", choices=SUBGROUPS, default="SU2")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", help="run the verification harness")
+
+def _verify_args(p) -> None:
     p.add_argument("--max-pq", type=int, default=3)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--numeric-samples", type=int, default=20)
-    p.set_defaults(func=cmd_verify)
 
+
+# every command, in help order: its help line, its arguments and its handler
+_COMMANDS = {
+    "dim": ("irrep dimension d(p,q)", _pq, cmd_dim),
+    "spectrum": ("I-Y multiplet spectrum of (p,q)", _pq_format, cmd_spectrum),
+    "cg": ("Clebsch-Gordan series (p,0) x (0,q)", _pq_format, cmd_cg),
+    "mult": ("induced-representation multiplicity of (p,q)", _mult_args, cmd_mult),
+    "state": ("construct a normalized basis state", _state_args, cmd_state),
+    "project": ("remove traces from a polynomial (JSON in/out)", _input_args, cmd_project),
+    "map": ("equivalence map to a sphere function (JSON in/out)", _input_args, cmd_map),
+    "table": ("tabulate dims/spectra/cg/mult over a range", _table_args, cmd_table),
+    "verify": ("run the verification harness", _verify_args, cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or given a command name, the parser with that
+    command's subparser only. Its usage line still lists every command, so
+    the errors it reports read as the full parser's do."""
+    ap = argparse.ArgumentParser(
+        prog="schwinger-su3",
+        description="Exact SU(3) x Sp(2,R) oscillator basis toolkit",
+    )
+    # one command's parser lists every command in its usage line through the
+    # metavar; the full parser lists its choices itself, and given a metavar
+    # its missing and invalid command errors would name the action by it
+    listed = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first argument names the command, or the full parser reports why not
+    ap = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

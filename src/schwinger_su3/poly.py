@@ -18,7 +18,9 @@ The trace series behind trace removal (K- = sum_j d/dz_j d/dw_j, the z.w
 multiplier, and the cofactor series in Horner form) is a kernel on plain
 term dicts: it only adds coefficients and multiplies them by integers, so
 the exact projector runs it on integer-cleared coefficients and the float
-shadow in ``numeric`` on complex ones.
+shadow in ``numeric`` on complex ones.  Trace removal lives here, on that
+kernel: ``traceless_project`` and ``zw_cofactor`` (which ``basis`` imports),
+so the ``project`` command loads no basis-state code.
 """
 
 from __future__ import annotations
@@ -386,6 +388,20 @@ def run_trace_kernel(f: Polynomial, kernel) -> Polynomial:
     rat, scale = kernel(rat, p, q)
     surd = kernel(surd, p, q)[0] if surd else {}
     return rebuild_polynomial(rat, surd, den * scale)
+
+
+def traceless_project(f: Polynomial) -> Polynomial:
+    """Leading traceless part f0 of a bihomogeneous polynomial.
+
+    f0 = f - sum_n (-1)^(n-1) (p+q+1-n)!/(n! (p+q+1)!) (z.w)^n K-^n f,
+    the unique component annihilated by K-.
+    """
+    return run_trace_kernel(f, trace_free_terms)
+
+
+def zw_cofactor(f: Polynomial) -> Polynomial:
+    """g with f - traceless_project(f) = (z.w) g, read off the projector series."""
+    return run_trace_kernel(f, trace_series)
 
 
 @lru_cache(maxsize=None)

@@ -475,9 +475,13 @@ def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
 
 
 def run_all(*, max_pq: int, degree: int, samples: int, numeric_samples: int,
-            numeric_checks: bool, seed: int = 0) -> List[Dict]:
-    """All suites at the caller's sizes, sorted by suite name."""
-    states = build_states(max_pq)
+            numeric_checks: bool, seed: int = 0,
+            states: List[NormalizedState] | None = None) -> List[Dict]:
+    """All suites at the caller's sizes, sorted by suite name; the state
+    suites read ``states``, built here unless the caller built
+    ``build_states(max_pq)`` itself."""
+    if states is None:
+        states = build_states(max_pq)
     suites = [
         suite_su3_closure(degree),
         suite_sp2r_relations(degree),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schwinger_su3
-from schwinger_su3 import basis, cli, verify
+from schwinger_su3 import cli, poly, verify
 from schwinger_su3.basis import traceless_project
 from schwinger_su3.poly import Polynomial, poly_from_records, poly_to_records
 from schwinger_su3.scalars import Qsqrt3
@@ -241,8 +241,10 @@ def test_verify_small(capsys):
     assert names == sorted(names)
     assert all(s["checks"] > 0 for s in parsed["suites"])
     # the whole run covers every suite, each rounded to 1e-4 s, and the
-    # shared states that no suite times
-    assert parsed["seconds"] >= sum(s["seconds"] for s in parsed["suites"]) - 1e-3
+    # shared states that no suite times, reported by name
+    assert 0 < parsed["build_states_seconds"] <= parsed["seconds"]
+    covered = parsed["build_states_seconds"] + sum(s["seconds"] for s in parsed["suites"])
+    assert parsed["seconds"] >= covered - 1e-3
     assert parsed["seconds"] <= elapsed
 
 
@@ -256,13 +258,63 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["pass"] is False
 
 
+COMMANDS = ("dim", "spectrum", "cg", "mult", "state", "project", "map", "table", "verify")
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
+    # the full parser reports it, naming every command
+    err = capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in err
+    listed = err.split("choose from", 1)[1]
+    assert all(f"'{name}'" in listed for name in COMMANDS), err
 
 
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
-    assert capsys.readouterr().out.startswith("usage: schwinger-su3")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: schwinger-su3")
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    assert all(f"\n    {name} " in out for name in COMMANDS), out
+
+
+# per command: a usage error that its own subparser reports (a missing or
+# non-integer positional, or an option without its value)
+_USAGE_ERRORS = {
+    "dim": ["dim", "x", "1"],
+    "spectrum": ["spectrum", "1"],
+    "cg": ["cg", "1", "x"],
+    "mult": ["mult", "SU2", "1"],
+    "state": ["state", "1", "x", "--I", "0", "--M", "0", "--Y", "0", "--m", "5/2"],
+    "project": ["project", "--input"],
+    "map": ["map", "--input"],
+    "table": ["table"],
+    "verify": ["verify", "--max-pq", "x"],
+}
+
+
+def _full_parser_run(capsys, argv):
+    """(exit code, stdout, stderr) of the full parser on argv, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, command):
+    # main builds the invoked command's subparser only; its help, its own
+    # usage errors and the unknown options that the top level reports (with
+    # the usage line of every command) read byte for byte as the full parser's
+    for argv in ([command, "-h"], _USAGE_ERRORS[command], [command, "--bogus"]):
+        want = _full_parser_run(capsys, argv)
+        assert want[0] in (0, 2)
+        assert _run(capsys, *argv) == want, argv
+
+
+def test_no_command_prints_what_the_full_parser_prints(capsys):
+    for argv in ([], ["frobnicate"], ["-h", "dim"]):
+        assert _run(capsys, *argv) == _full_parser_run(capsys, argv), argv
 
 
 def test_option_defaults():
@@ -384,6 +436,27 @@ def test_bad_quantum_number_error_line_is_short(capsys, flag, value, prefix):
     assert len(err.encode()) < 200, err
 
 
+def test_exponent_past_the_digit_limit_is_refused_before_it_is_expanded(capsys, monkeypatch):
+    # Fraction would expand 10^(10^7) first, for seconds; both signs are refused
+    # at once, and a smaller exponent is a value like any other
+    def state(I="0", M="0", m="5/2"):
+        return _run(capsys, "state", "1", "1", "--I", I, "--M", M, "--Y", "0", "--m", m)
+
+    for flag, value in (("I", "1e10000000"), ("m", "1e-10000000")):
+        start = time.perf_counter()
+        result = state(**{flag: value})
+        assert time.perf_counter() - start < 2
+        assert _one_error_line(*result, f"error: cannot parse {flag}='{value}'\n")
+    assert _one_error_line(*state(I="1e3"), "error: (r,s)=(1000,1000) outside")
+    assert state(m="25e-1")[0] == 0
+    # the exponent may reach the limit, not pass it; a limit of 0 is none
+    limit = sys.get_int_max_str_digits()
+    assert state(M=f"0e{limit}")[0] == 0
+    assert _one_error_line(*state(M=f"0e{limit + 1}"), f"error: cannot parse M='0e{limit + 1}'")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert state(M=f"0e{limit + 1}")[0] == 0
+
+
 def test_state_level_above_the_bound_exits_2(capsys):
     # basis_state multiplies by z.w once per level m - k; level 1000 is refused
     # before any is built, level MAX_LEVEL is built
@@ -418,57 +491,58 @@ _STARTUP_PROBE = textwrap.dedent("""
     root = sorted(m for m in sys.modules if m.startswith("schwinger_su3."))
     from schwinger_su3 import cli
 
-    WATCHED = ["dataclasses", "numpy"] + [f"schwinger_su3.{m}" for m in (
-        "basis", "induced", "numeric", "operators", "poly", "scalars", "verify")]
-
-    def run(*argv, stdin=""):
-        sys.stdin = io.StringIO(stdin)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(list(argv))
-        loaded = [m for m in WATCHED if m in sys.modules]
-        return {"argv": list(argv), "code": code, "out": out.getvalue(),
-                "loaded": loaded}
-
-    small = ["--max-pq", "0", "--degree", "1", "--samples", "1"]
-    z1w1 = '[{"exps": [1, 0, 0, 1, 0, 0], "num": "1", "den": "1"}]'
-    print(json.dumps({"root": root, "runs": [
-        run("dim", "1", "1"),
-        run("cg", "1", "1"),
-        run("table", "dims"),
-        run("spectrum", "1", "1"),
-        run("mult", "SO3", "2", "2"),
-        run("project", stdin=z1w1),
-        run("verify", *small),
-        run("verify", "--numeric", *small, "--numeric-samples", "1"),
-    ]}))
+    argv, stdin = json.loads(sys.argv[1])
+    sys.stdin = io.StringIO(stdin)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    loaded = sorted(m.removeprefix("schwinger_su3.") for m in sys.modules
+                    if m.startswith("schwinger_su3."))
+    print(json.dumps({"root": root, "code": code, "out": out.getvalue(), "loaded": loaded,
+                      "numpy": "numpy" in sys.modules,
+                      "dataclasses": "dataclasses" in sys.modules}))
 """)
 
 
-def test_startup_loads_numpy_and_verify_only_on_demand():
-    # a fresh interpreter, running the commands in turn: one sees every module
-    # that it or an earlier command loaded
+def _fresh_run(*argv, stdin=""):
+    """Run the CLI on argv in a fresh interpreter; what it printed and loaded."""
     src = str(Path(schwinger_su3.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps([argv, stdin])],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["root"] == []  # the package root imports no submodule
-    *catalog_only, project, exact, numeric = doc["runs"]
-    for run in catalog_only + [project]:
-        assert run["code"] == 0 and run["out"], run["argv"]
-    for run in catalog_only:
-        assert run["loaded"] == [], run["argv"]
-    assert project["loaded"] == ["schwinger_su3.basis", "schwinger_su3.poly",
-                                 "schwinger_su3.scalars"]
-    assert exact["code"] == 0 and json.loads(exact["out"])["pass"] is True
-    assert "numpy" not in exact["loaded"] and "schwinger_su3.verify" in exact["loaded"]
-    assert numeric["code"] == 0 and json.loads(numeric["out"])["pass"] is True
-    assert "numeric_equivariance" in numeric["out"]
-    assert "numpy" in numeric["loaded"]
-    assert "dataclasses" not in numeric["loaded"]  # so no command loaded it
+    run = json.loads(proc.stdout)
+    assert run["root"] == []  # the package root imports no submodule
+    assert run["code"] == 0 and run["out"], (argv, run)
+    assert not run["dataclasses"], argv
+    return run
+
+
+def test_startup_loads_numpy_and_verify_only_on_demand():
+    # each command in its own interpreter, so each sees only what it loaded
+    state = ["state", "1", "1", "--I", "1/2", "--Y", "1", "--m", "5/2"]
+    small = ["--max-pq", "0", "--degree", "1", "--samples", "1"]
+    z1w1 = '[{"exps": [1, 0, 0, 1, 0, 0], "num": "1", "den": "1"}]'
+    z1w2 = '[{"exps": [1, 0, 0, 0, 1, 0], "num": "1", "den": "1"}]'  # trace-free
+    for argv in (["dim", "1", "1"], ["table", "dims"], ["cg", "1", "1"],
+                 ["spectrum", "1", "1"], ["mult", "SO3", "2", "2"]):
+        run = _fresh_run(*argv)
+        assert run["loaded"] == ["catalog", "cli"], argv
+        assert not run["numpy"]
+    project = _fresh_run("project", stdin=z1w1)
+    assert project["loaded"] == ["catalog", "cli", "poly", "scalars"]
+    top = _fresh_run(*state, "--M", "1/2")
+    lowered = _fresh_run(*state, "--M=-1/2")
+    assert "operators" not in top["loaded"] and "operators" in lowered["loaded"]
+    mapped = _fresh_run("map", stdin=z1w2)
+    exact = _fresh_run("verify", *small)
+    assert json.loads(exact["out"])["pass"] is True and "verify" in exact["loaded"]
+    for run in (project, top, lowered, mapped, exact):
+        assert not run["numpy"], run["loaded"]
+    numeric = _fresh_run("verify", "--numeric", *small, "--numeric-samples", "1")
+    assert json.loads(numeric["out"])["pass"] is True
+    assert "numeric_equivariance" in numeric["out"] and numeric["numpy"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -508,7 +582,7 @@ def test_library_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(f):
         raise ValueError("library fault")
 
-    monkeypatch.setattr(basis, "traceless_project", broken)
+    monkeypatch.setattr(poly, "traceless_project", broken)
     _feed_stdin(monkeypatch, Polynomial.variable(1))
     with pytest.raises(ValueError, match="library fault"):
         cli.main(["project", "--input", "-"])

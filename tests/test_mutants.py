@@ -206,11 +206,13 @@ def _min_rank(mp):
 
 
 def _trace_weight_one_larger(n):
-    """Patch basis's trace_free_terms to A_n one larger: D g gains
-    (z.w)^(n-1) K-^n f, so D f0 loses (z.w)^n K-^n f; only bidegrees with
-    min(p, q) >= n see it."""
+    """Patch trace_free_terms, as basis_state and poly's projector call it,
+    to A_n one larger: D g gains (z.w)^(n-1) K-^n f, so D f0 loses
+    (z.w)^n K-^n f; only bidegrees with min(p, q) >= n see it."""
+    original = poly.trace_free_terms
+
     def patched(terms, p, q):
-        out, den = poly.trace_free_terms(terms, p, q)
+        out, den = original(terms, p, q)
         lost = terms
         for step in (poly.kminus_terms, poly.zw_mul_terms):
             for _ in range(n):
@@ -218,7 +220,11 @@ def _trace_weight_one_larger(n):
         for m, c in lost.items():
             out[m] = out.get(m, 0) - c
         return {m: c for m, c in out.items() if c}, den
-    return lambda mp: mp.setattr(basis, "trace_free_terms", patched)
+
+    def patch(mp):
+        mp.setattr(basis, "trace_free_terms", patched)
+        mp.setattr(poly, "trace_free_terms", patched)
+    return patch
 
 
 def _drop_last_cg_term(mp):
