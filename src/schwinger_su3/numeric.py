@@ -4,48 +4,84 @@ Exact arithmetic cannot reach generic group elements (irrational entries), so
 equivariance and invariance of the construction under finite SU(3) rotations
 is checked here in double precision: Haar-random sampling, the point action
 per bidegree as two factors, Sym^p(B) on z and Sym^q(conj B) on w
-(group_factors, whose Kronecker product is group_matrix), and a float shadow
-of the traceless projector.
+(group_factors), and a float shadow of the traceless projector.
+
+Everything is plain Python ``complex``: a matrix is a tuple of three row
+tuples, a factor the tuple of its columns, and the projector a tuple of
+sparse columns. The sizes are 3 x 3 matrices and factors of at most 10 x 10,
+where a linear-algebra library would cost more to import than to use.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import random
 from functools import lru_cache
-from typing import Dict, Tuple
-
-import numpy as np
+from operator import mul, sub
+from typing import Dict, List, Tuple
 
 from .poly import Monomial, monomial_index, monomials_of_bidegree, trace_free_terms
 
 NumericPolynomial = Dict[Monomial, complex]
+Matrix = Tuple[Tuple[complex, ...], ...]
+# column j is the image of the j-th monomial of the degree, in the order of
+# monomials_of_bidegree
+Factor = Tuple[Tuple[complex, ...], ...]
+# column j lists (row, value) for the nonzero entries of P e_j
+SparseColumns = Tuple[Tuple[Tuple[int, float], ...], ...]
 
 UNITARITY_TOL = 1e-12
 
 
-def haar_random_su3(seed: int) -> np.ndarray:
+def haar_random_su3(seed: int) -> Matrix:
     """Deterministic Haar-distributed SU(3) matrix.
 
-    Complex Ginibre sample, QR with the R-diagonal phase fix, then the
-    determinant divided out through its principal cube root.
+    Complex Ginibre sample, Gram-Schmidt on its columns (QR with a positive
+    R diagonal, so Haar on U(3); Mezzadri, Notices AMS 54, 2007), then the
+    determinant divided out through its principal cube root. Each column is
+    orthogonalised twice, which keeps it orthogonal to rounding even when
+    the sample is nearly singular.
     """
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / math.sqrt(2)
-    qmat, rmat = np.linalg.qr(z)
-    phases = np.diagonal(rmat) / np.abs(np.diagonal(rmat))
-    u = qmat * phases  # scales columns; now Haar on U(3)
-    det = np.linalg.det(u)
-    u = u / det ** (1.0 / 3.0)
+    gauss = random.Random(seed).gauss
+    cols: List[List[complex]] = []
+    for _ in range(3):
+        v = [complex(gauss(0.0, 1.0), gauss(0.0, 1.0)) for _ in range(3)]
+        for _ in range(2):
+            for u in cols:
+                d = sum(x.conjugate() * y for x, y in zip(u, v))
+                v = [y - d * x for x, y in zip(u, v)]
+        norm = math.hypot(*map(abs, v))
+        cols.append([y / norm for y in v])
+    root = _det(tuple(zip(*cols))) ** (1.0 / 3.0)
+    u = tuple(tuple(x / root for x in row) for row in zip(*cols))
     _check_su3(u)
     return u
 
 
-def _check_su3(a: np.ndarray) -> None:
-    if np.max(np.abs(a.conj().T @ a - np.eye(3))) > UNITARITY_TOL:
+def _det(a: Matrix) -> complex:
+    """The determinant of a 3 x 3 matrix, by cofactors of its first row."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    return (a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20)
+            + a02 * (a10 * a21 - a11 * a20))
+
+
+def _check_su3(a: Matrix) -> None:
+    gram = matmul(dagger(a), a)
+    if max(abs(gram[i][j] - (i == j)) for i in range(3) for j in range(3)) > UNITARITY_TOL:
         raise ValueError("matrix is not unitary to tolerance")
-    if abs(np.linalg.det(a) - 1) > UNITARITY_TOL:
+    if abs(_det(a) - 1) > UNITARITY_TOL:
         raise ValueError("matrix determinant is not 1 to tolerance")
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product A B of two 3 x 3 matrices."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def dagger(a: Matrix) -> Matrix:
+    """The conjugate transpose A^dagger, which is A^-1 for unitary A."""
+    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
 
 
 def n_traceless_project(f: NumericPolynomial, p: int, q: int) -> NumericPolynomial:
@@ -54,94 +90,148 @@ def n_traceless_project(f: NumericPolynomial, p: int, q: int) -> NumericPolynomi
     return {m: c / den for m, c in f0.items()}
 
 
-def act_bargmann(a: np.ndarray, f: NumericPolynomial) -> NumericPolynomial:
+def act_bargmann(a: Matrix, f: NumericPolynomial) -> NumericPolynomial:
     """(U(A) f)(z, w) = f(A^-1 z, conj(A^-1) w) on each bidegree part of f.
 
     With the part's coefficients as a matrix F, z-monomials as rows and
     w-monomials as columns, U(A) = S kron T acts as F -> S F T^T for the
-    factors (S, T) of group_factors."""
-    parts: Dict[Tuple[int, int], NumericPolynomial] = {}
-    for m, c in f.items():
-        parts.setdefault((m[0] + m[1] + m[2], m[3] + m[4] + m[5]), {})[m] = c
+    factors (S, T) of group_factors. A monomial c z^a w^b goes to c times
+    column a of S kron column b of T; a larger part first to the rows of
+    F T^T that F does not leave zero, then to S times them. The image lists
+    every monomial of each bidegree of f."""
     out: NumericPolynomial = {}
-    for (p, q), part in parts.items():
-        monos, index = monomials_of_bidegree(p, q), monomial_index(p, q)
+    for (p, q), part in _bidegree_parts(f).items():
         s, t = group_factors(a, p, q)
-        coeffs = np.zeros(len(monos), dtype=complex)
-        for m, c in part.items():
-            coeffs[index[m]] = c
-        moved = s @ coeffs.reshape(len(s), len(t)) @ t.T
-        for m, c in zip(monos, moved.ravel().tolist()):
-            if c != 0.0:
-                out[m] = c
+        index, n_w = monomial_index(p, q), len(t)
+        if len(part) == 1:
+            ((m, c),) = part.items()
+            i, j = divmod(index[m], n_w)
+            row = [c * y for y in t[j]]
+            moved = [x * y for x in s[i] for y in row]
+        else:
+            flat = [0j] * (len(s) * n_w)
+            for m, c in part.items():
+                flat[index[m]] = c
+            t_rows = list(zip(*t))
+            f_rows = [flat[k:k + n_w] for k in range(0, len(flat), n_w)]
+            rows = [(s_col, [sum(map(mul, f_row, t_row)) for t_row in t_rows])
+                    for s_col, f_row in zip(s, f_rows) if any(f_row)]
+            s_rows = list(zip(*(s_col for s_col, _ in rows)))
+            h_cols = list(zip(*(row for _, row in rows)))
+            moved = [sum(map(mul, s_row, h_col)) for s_row in s_rows for h_col in h_cols]
+        out.update(zip(monomials_of_bidegree(p, q), moved))
     return out
 
 
-def group_factors(a: np.ndarray, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(Sym^p(B), Sym^q(conj B)) with B = A^-1 = A^dagger: column j of each
-    is the image of the j-th z- (or w-) monomial of that degree under
-    z -> B z (or w -> conj(B) w)."""
-    b = a.conj().T  # unitary inverse
-    return _sym_power(b, p), _sym_power(b.conj(), q)
+def _bidegree_parts(f: NumericPolynomial) -> Dict[Tuple[int, int], NumericPolynomial]:
+    """f split by bidegree; f itself when every monomial has the bidegree of
+    the first, as in act_bargmann's own images."""
+    first = next(iter(f), None)
+    if first is not None and monomial_index(*_bidegree(first)).keys() >= f.keys():
+        return {_bidegree(first): f}
+    parts: Dict[Tuple[int, int], NumericPolynomial] = {}
+    for m, c in f.items():
+        parts.setdefault(_bidegree(m), {})[m] = c
+    return parts
 
 
-def group_matrix(a: np.ndarray, p: int, q: int) -> np.ndarray:
-    """U(A) on bidegree (p, q) in the order of monomials_of_bidegree(p, q):
-    the Kronecker product S kron T of the factors (S, T) of group_factors."""
-    return np.kron(*group_factors(a, p, q))
+def _bidegree(m: Monomial) -> Tuple[int, int]:
+    return m[0] + m[1] + m[2], m[3] + m[4] + m[5]
 
 
-def _sym_power(b: np.ndarray, p: int) -> np.ndarray:
-    """Sym^p(B) = S (B^(x)p)[reps].T on the degree-p monomials in three variables.
+def group_factors(a: Matrix, p: int, q: int) -> Tuple[Factor, Factor]:
+    """(Sym^p(B), Sym^q(conj B)) with B = A^-1 = A^dagger, each as the tuple
+    of its columns: column j is the image of the j-th z- (or w-) monomial of
+    that degree under z -> B z (or w -> conj(B) w)."""
+    return _sym_powers(a, p)[0], _sym_powers(a, q)[1]
 
-    Row reps[k] of the p-fold Kronecker power expands the product of the
-    linear forms of monomial k over all 3^p index tuples t: its entry t is
-    prod_slot B[reps[k, slot], t[slot]], one gather of B and a product over
-    the slots. S sums each tuple onto its monomial.
-    """
-    fold, rows, cols = _sym_layout(p)
-    return fold @ b[rows, cols].prod(axis=-1).T
+
+@lru_cache(maxsize=256)
+def _sym_powers(a: Matrix, p: int) -> Tuple[Factor, Factor]:
+    """(Sym^p(B), Sym^p(conj B)) for B = A^dagger, the second the entrywise
+    conjugate of the first, since Sym^p has integer coefficients.
+
+    Sym^p(B) is built column by column: z^m is z_i times z^(m - e_i), i the
+    first variable of m, so its image is the image of z^(m - e_i), a column
+    of Sym^(p-1)(B), times the linear form sum_k B[i][k] z_k."""
+    if p == 0:
+        one = ((1 + 0j,),)
+        return one, one
+    b = dagger(a)
+    lower = _sym_powers(a, p - 1)[0]
+    steps, ups = _raise_layout(p)
+    cols = []
+    for i, j in steps:
+        b0, b1, b2 = b[i]
+        col = [0j] * len(steps)
+        for x, (u0, u1, u2) in zip(lower[j], ups):
+            col[u0] += x * b0
+            col[u1] += x * b1
+            col[u2] += x * b2
+        cols.append(tuple(col))
+    return tuple(cols), tuple(tuple(x.conjugate() for x in col) for col in cols)
 
 
 @lru_cache(maxsize=None)
-def _sym_layout(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, rows, cols) for degree p. S[k, t] = 1 when index tuple t (base-3
-    digits, first slot most significant) has the exponents of monomial k;
-    rows[k, 0] is one such tuple (reps[k]; any one will do, since the product
-    of linear forms does not depend on the order of its factors) and
-    cols[0, t] is tuple t, so that B[rows, cols] has shape (k, t, slot)."""
-    row = monomial_index(p, 0)
-    tuples = list(itertools.product(range(3), repeat=p))
-    fold = np.zeros((len(row), 3 ** p))
-    reps = np.zeros((len(row), p), dtype=np.intp)
-    for t, idx in enumerate(tuples):
-        k = row[(idx.count(0), idx.count(1), idx.count(2), 0, 0, 0)]
-        fold[k, t] = 1.0
-        reps[k] = idx
-    rows = reps[:, None, :]
-    cols = np.array(tuples, dtype=np.intp)[None]
-    for arr in (fold, rows, cols):
-        arr.flags.writeable = False  # shared by every caller
-    return fold, rows, cols
+def _raise_layout(p: int) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int, int], ...]]:
+    """For degree p >= 1: per z-monomial m of degree p, (i, j) with m = z_i
+    times z-monomial j of degree p - 1, i the first variable of m; and per
+    z-monomial t of degree p - 1, the positions of z_0 t, z_1 t and z_2 t."""
+    lower, lower_index, index = (monomials_of_bidegree(p - 1, 0), monomial_index(p - 1, 0),
+                                 monomial_index(p, 0))
+    steps = []
+    for m in monomials_of_bidegree(p, 0):
+        i = next(v for v, e in enumerate(m) if e)
+        steps.append((i, lower_index[tuple(e - (v == i) for v, e in enumerate(m))]))
+    ups = [tuple(index[tuple(e + (v == k) for v, e in enumerate(t))] for k in range(3))
+           for t in lower]
+    return tuple(steps), tuple(ups)
 
 
-def equivariance_defect(a: np.ndarray, bidegree: Tuple[int, int]) -> float:
+def equivariance_defect(a: Matrix, bidegree: Tuple[int, int]) -> float:
     """max |P U(A) - U(A) P| on bidegree (p, q), P the float trace-removal
-    projector: column j compares project(U(A) e_j) with U(A) project(e_j) for
-    monomial e_j of the bidegree."""
+    projector. Each entry P[r][j] of its sparse columns adds P[r][j] times
+    row j of U(A) to row r of P U(A), and P[r][j] times column r of U(A) to
+    column j of U(A) P."""
     p, q = bidegree
-    proj = projector_matrix(p, q)
-    u = group_matrix(a, p, q)
-    return float(np.max(np.abs(proj @ u - u @ proj)))
+    s, t = group_factors(a, p, q)
+    cols = [[x * y for x in s_col for y in t_col] for s_col in s for t_col in t]
+    rows = list(zip(*cols))
+    pu_rows: List = [None] * len(cols)
+    up_cols: List = [None] * len(cols)
+    for j, p_j in enumerate(projector_columns(p, q)):
+        for r, c in p_j:
+            pu_rows[r] = _add_scaled(pu_rows[r], c, rows[j])
+            up_cols[j] = _add_scaled(up_cols[j], c, cols[r])
+    return max(max(map(abs, map(sub, x, y))) for x, y in zip(pu_rows, zip(*up_cols)))
+
+
+def _add_scaled(acc, c: float, x):
+    """acc + c x for a vector acc, or c x while acc is None; x itself when
+    c is 1, which the trace-free monomials' columns of P are."""
+    if acc is None:
+        return x if c == 1.0 else [c * y for y in x]
+    return [z + c * y for z, y in zip(acc, x)]
 
 
 @lru_cache(maxsize=None)
-def projector_matrix(p: int, q: int) -> np.ndarray:
-    """Float matrix of the trace-removal projector on bidegree (p, q)."""
-    monos, index = monomials_of_bidegree(p, q), monomial_index(p, q)
-    proj = np.zeros((len(monos), len(monos)))
-    for j, m in enumerate(monos):
-        for t, c in n_traceless_project({m: 1}, p, q).items():
-            proj[index[t], j] = c
-    proj.flags.writeable = False  # shared by every caller
-    return proj
+def projector_columns(p: int, q: int) -> SparseColumns:
+    """The float trace-removal projector on bidegree (p, q) as sparse
+    columns, in the order of monomials_of_bidegree(p, q)."""
+    index = monomial_index(p, q)
+    return tuple(tuple((index[t], c) for t, c in n_traceless_project({m: 1}, p, q).items())
+                 for m in monomials_of_bidegree(p, q))
+
+
+def projector_pin(p: int, q: int) -> Tuple[float, float]:
+    """(max |P P - P|, trace P) for the projector on bidegree (p, q), read
+    off its sparse columns: column j of P P is sum_t P[t][j] p_t."""
+    cols = projector_columns(p, q)
+    worst = 0.0
+    for col in cols:
+        square = {r: -c for r, c in col}
+        for t, c in col:
+            for r, x in cols[t]:
+                square[r] = square.get(r, 0.0) + c * x
+        worst = max(worst, *map(abs, square.values()))
+    return worst, sum(c for j, col in enumerate(cols) for r, c in col if r == j)

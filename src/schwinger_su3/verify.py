@@ -13,6 +13,8 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from operator import sub
 from typing import Dict, List
 
 from . import basis
@@ -433,45 +435,64 @@ def _nan_max(x: float, y: float) -> float:
     return y if y > x or math.isnan(y) else x
 
 
+def _max_diff(f: Dict, g: Dict) -> float:
+    """max |f - g| over the monomials of either float polynomial; 0 for two empty ones."""
+    keys = f.keys() | g.keys()
+    return max(map(abs, map(sub, map(f.get, keys, repeat(0.0)), map(g.get, keys, repeat(0.0)))),
+               default=0.0)
+
+
 def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
     """The float projector at bidegree (2,2), its commutation with the action
-    there, and the representation property on degree <= (3,3), over seeded
-    Haar samples. U(A) acts on each test monomial through the factored
-    numeric.act_bargmann, F -> S F T^T."""
+    there, the action on degree one, and the representation property on
+    degree <= (3,3), over seeded Haar samples. U(A) acts on each test monomial
+    through the factored numeric.act_bargmann, F -> S F T^T."""
     tally = _Tally()
-    from . import numeric  # numpy loads only for this suite
+    from . import numeric
 
-    max_proj = 0.0
-    max_rep = 0.0
+    max_proj = max_act = max_rep = 0.0
     test_monomials = [
         m
         for p in range(4)
         for q in range(4)
         for m in list(monomials_of_bidegree(p, q))[:2]
     ]
+    # z_0, z_1, z_2, w_0, w_1, w_2
+    variables = [tuple(int(k == j) for k in range(6)) for j in range(6)]
     if samples > 0:
         # (2,2) = (2,2) + (1,1) + (0,0), each irrep once, so P is the only
         # idempotent of trace 27 that commutes with every U(A)
-        proj = numeric.projector_matrix(2, 2)
-        tally(abs(proj @ proj - proj).max() <= PROJECTION_TOL
-              and abs(proj.trace() - dim(IrrepLabel(2, 2))) <= PROJECTION_TOL, "projector")
+        idempotence, trace = numeric.projector_pin(2, 2)
+        tally(idempotence <= PROJECTION_TOL
+              and abs(trace - dim(IrrepLabel(2, 2))) <= PROJECTION_TOL, "projector")
     for i in range(samples):
         a = numeric.haar_random_su3(seed + i)
-        d = float(numeric.equivariance_defect(a, (2, 2)))
+        d = numeric.equivariance_defect(a, (2, 2))
         tally(d <= PROJECTION_TOL, "projection", seed + i)
         max_proj = _nan_max(max_proj, d)
+        # the representation property holds for the trivial and the zero
+        # action too; degree one says which action it is: z_j -> sum_k B[j][k] z_k
+        # with B = A^dagger, read off the sample itself, and w_j the same by conj(B)
+        for j in range(3):
+            column = [row[j] for row in a]  # B[j][k] = conj(A[k][j])
+            for shift, image in ((0, [c.conjugate() for c in column]), (3, column)):
+                x = variables[shift + j]
+                d = _max_diff(numeric.act_bargmann(a, {x: 1.0 + 0.0j}),
+                              dict(zip(variables[shift:], image)))
+                tally(d <= REPRESENTATION_TOL, "action", seed + i, x)
+                max_act = _nan_max(max_act, d)
         b = numeric.haar_random_su3(seed + samples + i)
-        ab = a @ b
+        ab = numeric.matmul(a, b)
         for m in test_monomials:
             f = {m: 1.0 + 0.0j}
             lhs = numeric.act_bargmann(a, numeric.act_bargmann(b, f))
             rhs = numeric.act_bargmann(ab, f)
-            d = max((abs(lhs.get(t, 0.0) - rhs.get(t, 0.0)) for t in {**lhs, **rhs}),
-                    default=0.0)
+            d = _max_diff(lhs, rhs)
             tally(d <= REPRESENTATION_TOL, "representation", seed + i, m)
             max_rep = _nan_max(max_rep, d)
     return tally.result("numeric_equivariance", max_projection_defect=max_proj,
-                        max_representation_defect=max_rep, samples=samples, seed=seed)
+                        max_action_defect=max_act, max_representation_defect=max_rep,
+                        samples=samples, seed=seed)
 
 
 def run_all(*, max_pq: int, degree: int, samples: int, numeric_samples: int,

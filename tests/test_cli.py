@@ -519,7 +519,7 @@ def _fresh_run(*argv, stdin=""):
     return run
 
 
-def test_startup_loads_numpy_and_verify_only_on_demand():
+def test_startup_loads_verify_only_on_demand_and_never_numpy():
     # each command in its own interpreter, so each sees only what it loaded
     state = ["state", "1", "1", "--I", "1/2", "--Y", "1", "--m", "5/2"]
     small = ["--max-pq", "0", "--degree", "1", "--samples", "1"]
@@ -538,11 +538,28 @@ def test_startup_loads_numpy_and_verify_only_on_demand():
     mapped = _fresh_run("map", stdin=z1w2)
     exact = _fresh_run("verify", *small)
     assert json.loads(exact["out"])["pass"] is True and "verify" in exact["loaded"]
-    for run in (project, top, lowered, mapped, exact):
-        assert not run["numpy"], run["loaded"]
     numeric = _fresh_run("verify", "--numeric", *small, "--numeric-samples", "1")
     assert json.loads(numeric["out"])["pass"] is True
-    assert "numeric_equivariance" in numeric["out"] and numeric["numpy"]
+    assert "numeric_equivariance" in numeric["out"] and "numeric" in numeric["loaded"]
+    for run in (project, top, lowered, mapped, exact, numeric):
+        assert not run["numpy"], run["loaded"]
+
+
+def test_numeric_verify_passes_with_numpy_blocked():
+    # an import of numpy anywhere in the run raises ImportError
+    src = str(Path(schwinger_su3.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ('import sys; sys.modules["numpy"] = None\n'
+            'from schwinger_su3 import cli\n'
+            'sys.exit(cli.main(sys.argv[1:]))')
+    proc = subprocess.run([sys.executable, "-c", code, "verify", "--max-pq", "0", "--degree", "1",
+                           "--samples", "1", "--numeric", "--numeric-samples", "2"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    numeric = [s for s in doc["suites"] if s["name"] == "numeric_equivariance"]
+    assert doc["pass"] is True and numeric and numeric[0]["checks"] > 0
 
 
 @pytest.mark.parametrize("argv", [

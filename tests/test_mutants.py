@@ -14,7 +14,6 @@ import functools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from schwinger_su3 import basis, catalog, induced, numeric, poly, verify
@@ -258,24 +257,35 @@ def _wrong_channel_scale(mp):
 def _swap_inverse(mp):
     # A in place of A^-1: a homomorphism turned into an anti-homomorphism
     original = numeric.group_factors
-    mp.setattr(numeric, "group_factors", lambda a, p, q: original(a.conj().T, p, q))
+    mp.setattr(numeric, "group_factors", lambda a, p, q: original(numeric.dagger(a), p, q))
 
 
 def _unconjugate_w(mp):
-    # B in place of conj(B) on the w variables: z.w is no longer invariant
+    # B in place of conj(B) on the w variables: z.w is no longer invariant;
+    # conj(A) is the dagger of A's transpose
     original = numeric.group_factors
-    mp.setattr(numeric, "group_factors",
-               lambda a, p, q: (original(a, p, q)[0], original(a.conj(), p, q)[1]))
+    mp.setattr(numeric, "group_factors", lambda a, p, q: (
+        original(a, p, q)[0], original(numeric.dagger(tuple(zip(*a))), p, q)[1]))
+
+
+def _zero_factors(mp):
+    # every factor zero: U(A) = 0 satisfies U(A) U(B) = U(AB) and commutes
+    # with P
+    original = numeric.group_factors
+    mp.setattr(numeric, "group_factors", lambda a, p, q: tuple(
+        tuple(tuple(0j for _ in col) for col in factor) for factor in original(a, p, q)))
 
 
 def _identity_projector(mp):
-    original = numeric.projector_matrix
-    mp.setattr(numeric, "projector_matrix", lambda p, q: np.eye(len(original(p, q))))
+    original = numeric.projector_columns
+    mp.setattr(numeric, "projector_columns",
+               lambda p, q: tuple(((j, 1.0),) for j in range(len(original(p, q)))))
 
 
 def _double_projector(mp):
-    original = numeric.projector_matrix
-    mp.setattr(numeric, "projector_matrix", lambda p, q: 2 * original(p, q))
+    original = numeric.projector_columns
+    mp.setattr(numeric, "projector_columns",
+               lambda p, q: tuple(tuple((r, 2 * c) for r, c in col) for col in original(p, q)))
 
 
 def _on_states(suite, max_pq):
@@ -378,9 +388,20 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
                                              lambda a, pq: float("nan")),
      _numeric, {"failures": 2, "first_failure": "projection 0",
                 "max_projection_defect": math.isnan}),
+    # the trivial and the zero action are homomorphisms that commute with P;
+    # only the degree-one pin, 6 checks per sample, tells them from U(A)
+    ("action-identity", 11, lambda mp: mp.setattr(numeric, "act_bargmann", lambda a, f: dict(f)),
+     _numeric, {"failures": 12, "first_failure": "action 0 (1, 0, 0, 0, 0, 0)"}),
+    ("factors-zero", 11, _zero_factors, _numeric,
+     {"failures": 12, "first_failure": "action 0 (1, 0, 0, 0, 0, 0)"}),
+    # both fail the degree-one pin on each sample (all six variables, or the
+    # three w_j); the 30 test monomials of positive degree fail the
+    # representation property under an anti-homomorphism, and P fails to
+    # commute with an action that leaves z.w variant
     ("inverse-swapped", 11, _swap_inverse, _numeric,
-     {"max_representation_defect": _above(1e-3)}),
-    ("w-unconjugated", 11, _unconjugate_w, _numeric, {"max_projection_defect": _above(1e-3)}),
+     {"failures": 72, "max_representation_defect": _above(1e-3)}),
+    ("w-unconjugated", 11, _unconjugate_w, _numeric,
+     {"failures": 8, "first_failure": "projection 0", "max_projection_defect": _above(1e-3)}),
     # I and 2P commute with every U(A) too; only idempotence and trace 27 tell
     # them from P
     ("projector-identity", 11, _identity_projector, _numeric,

@@ -1,5 +1,10 @@
+"""The plain-Python numeric module against numpy, the independent reference
+route: the factors, the action, the projector and its commutation, on
+matrices converted with np.array."""
+
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,11 +14,13 @@ from schwinger_su3.basis import traceless_project
 from schwinger_su3.poly import (
     Polynomial,
     kminus_terms,
+    monomial_index,
     monomial_norm_sq,
     monomials_of_bidegree,
 )
 
 BIDEGREES = [(p, q) for p in range(4) for q in range(4)]
+IDENTITY = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
 
 
 def _shadow(f):
@@ -26,18 +33,99 @@ def _max_diff(f, g):
     return max((abs(f.get(m, 0.0) - g.get(m, 0.0)) for m in {**f, **g}), default=0.0)
 
 
+def _conj(a):
+    """The entrywise conjugate of a tuple matrix."""
+    return tuple(tuple(x.conjugate() for x in row) for row in a)
+
+
+def group_matrix(a, p, q):
+    """U(A) on bidegree (p, q) in the order of monomials_of_bidegree(p, q):
+    the Kronecker product S kron T of numeric.group_factors, as numpy
+    matrices (a factor is the tuple of its columns)."""
+    return np.kron(*(np.array(f).T for f in numeric.group_factors(a, p, q)))
+
+
+def np_group_factors(a, p, q):
+    """(Sym^p(B), Sym^q(conj B)), B = A^dagger, by numpy from the p-fold
+    Kronecker power of B, independently of numeric's column recursion."""
+    b = np.array(a).conj().T
+    return _np_sym_power(b, p), _np_sym_power(b.conj(), q)
+
+
+def _np_sym_power(b, p):
+    """Sym^p(B) = S (B^(x)p)[reps].T: row reps[k] of the p-fold Kronecker power
+    expands the product of the linear forms of monomial k over all 3^p index
+    tuples, and S sums each tuple onto its monomial."""
+    row = monomial_index(p, 0)
+    tuples = list(itertools.product(range(3), repeat=p))
+    fold = np.zeros((len(row), 3 ** p))
+    reps = np.zeros((len(row), p), dtype=np.intp)
+    for t, idx in enumerate(tuples):
+        k = row[(idx.count(0), idx.count(1), idx.count(2), 0, 0, 0)]
+        fold[k, t] = 1.0
+        reps[k] = idx
+    return fold @ b[reps[:, None, :], np.array(tuples, dtype=np.intp)[None]].prod(axis=-1).T
+
+
+def projector_matrix(p, q):
+    """The float trace-removal projector on bidegree (p, q) as a dense matrix."""
+    monos, index = monomials_of_bidegree(p, q), monomial_index(p, q)
+    proj = np.zeros((len(monos), len(monos)))
+    for j, m in enumerate(monos):
+        for t, c in numeric.n_traceless_project({m: 1}, p, q).items():
+            proj[index[t], j] = c
+    return proj
+
+
+def test_numeric_route_agrees_with_numpy():
+    rng = random.Random(11)
+    for seed in range(3):
+        a = numeric.haar_random_su3(seed)
+        b = numeric.haar_random_su3(100 + seed)
+        assert np.max(np.abs(np.array(numeric.matmul(a, b)) - np.array(a) @ np.array(b))) < 1e-12
+        for p, q in BIDEGREES:
+            s, t = np_group_factors(a, p, q)
+            got_s, got_t = numeric.group_factors(a, p, q)
+            assert np.max(np.abs(np.array(got_s).T - s)) < 1e-12
+            assert np.max(np.abs(np.array(got_t).T - t)) < 1e-12
+            u = np.kron(s, t)
+            monos = monomials_of_bidegree(p, q)
+            # one monomial, and a dense part, the two paths of act_bargmann
+            dense = {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in monos}
+            for f in ({monos[-1]: 0.5 - 2j}, dense):
+                vec = np.array([f.get(m, 0.0) for m in monos])
+                want = dict(zip(monos, u @ vec))
+                assert _max_diff(numeric.act_bargmann(a, f), want) < 1e-12
+            proj = projector_matrix(p, q)
+            want = np.max(np.abs(proj @ u - u @ proj))
+            assert abs(numeric.equivariance_defect(a, (p, q)) - want) < 1e-12
+            idempotence, trace = numeric.projector_pin(p, q)
+            assert abs(idempotence - np.max(np.abs(proj @ proj - proj))) < 1e-12
+            assert abs(trace - np.trace(proj)) < 1e-12
+
+
 def test_haar_sampler_is_deterministic():
     a = numeric.haar_random_su3(42)
     b = numeric.haar_random_su3(42)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, numeric.haar_random_su3(43))
+    assert a == b
+    assert len(a) == 3 and all(len(row) == 3 and all(type(x) is complex for x in row)
+                               for row in a)
+    assert a != numeric.haar_random_su3(43)
 
 
 def test_haar_sampler_is_special_unitary():
     for seed in range(20):
-        a = numeric.haar_random_su3(seed)
+        a = np.array(numeric.haar_random_su3(seed))
         assert np.max(np.abs(a.conj().T @ a - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(a) - 1) < 1e-12
+
+
+def test_su3_check_refuses_a_matrix_off_the_group():
+    with pytest.raises(ValueError, match="not unitary"):
+        numeric._check_su3(((2 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j)))
+    with pytest.raises(ValueError, match="determinant"):
+        numeric._check_su3(((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, -1 + 0j)))
+    numeric._check_su3(IDENTITY)
 
 
 def test_haar_first_entry_moment():
@@ -49,9 +137,10 @@ def test_haar_first_entry_moment():
     n = 10_000
     for seed in range(n):
         a = numeric.haar_random_su3(seed)
-        total += abs(a[0, 0]) ** 2
-        trace_sum += np.trace(a)
-        trace_sq += abs(np.trace(a)) ** 2
+        trace = a[0][0] + a[1][1] + a[2][2]
+        total += abs(a[0][0]) ** 2
+        trace_sum += trace
+        trace_sq += abs(trace) ** 2
     assert abs(total / n - 1 / 3) < 0.02
     assert abs(trace_sum / n) < 0.05
     assert abs(trace_sq / n - 1) < 0.05
@@ -59,7 +148,7 @@ def test_haar_first_entry_moment():
 
 def test_identity_acts_trivially():
     f = {(2, 1, 0, 0, 1, 1): 1.5 + 0.5j}
-    out = numeric.act_bargmann(np.eye(3, dtype=complex), f)
+    out = numeric.act_bargmann(IDENTITY, f)
     assert _max_diff(out, f) < 1e-14
 
 
@@ -77,7 +166,7 @@ def test_zw_is_invariant():
 
 def _inner(f, g):
     """The Bargmann inner product of two float polynomials."""
-    return sum(np.conj(c) * g.get(m, 0) * monomial_norm_sq(m) for m, c in f.items())
+    return sum(c.conjugate() * g.get(m, 0) * monomial_norm_sq(m) for m, c in f.items())
 
 
 def test_action_preserves_inner_product_and_bidegree():
@@ -98,7 +187,7 @@ def test_representation_property():
         for m in ((1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 1, 0), (2, 0, 1, 1, 1, 1)):
             f = {m: 1.0 + 0j}
             lhs = numeric.act_bargmann(a, numeric.act_bargmann(b, f))
-            rhs = numeric.act_bargmann(a @ b, f)
+            rhs = numeric.act_bargmann(numeric.matmul(a, b), f)
             worst = max(worst, _max_diff(lhs, rhs))
     assert worst < 1e-9
 
@@ -109,6 +198,7 @@ def tensor_transform(a, f):
     Implemented through the dense symmetric tensor (with multinomial weights),
     independently of group_matrix, so the two can be played against each other.
     """
+    a = np.asarray(a)
     p, q = _bidegree(f)
     if p + q == 0:
         return dict(f)
@@ -177,7 +267,7 @@ def test_tensor_transform_vector_channel():
         coeffs = np.zeros(3, dtype=complex)
         for m, c in out.items():
             coeffs[m.index(1)] = c
-        want = a @ np.array([1.0, 0.0, 0.0], dtype=complex)
+        want = np.array(a) @ np.array([1.0, 0.0, 0.0], dtype=complex)
         assert np.max(np.abs(coeffs - want)) < 1e-12
 
 
@@ -192,14 +282,14 @@ def test_tensor_transform_matches_point_action():
     for seed in range(10):
         a = numeric.haar_random_su3(seed)
         lhs = tensor_transform(a, f)
-        rhs = numeric.act_bargmann(a.conj(), f)
+        rhs = numeric.act_bargmann(_conj(a), f)
         assert _max_diff(lhs, rhs) < 1e-10
 
 
 def test_tensor_transform_requires_bihomogeneous():
     with pytest.raises(ValueError):
         tensor_transform(
-            np.eye(3, dtype=complex),
+            IDENTITY,
             {(1, 0, 0, 0, 0, 0): 1.0, (1, 1, 0, 0, 0, 0): 1.0},
         )
 
@@ -226,7 +316,7 @@ def test_numeric_projector_matches_exact():
 
 
 def test_equivariance_defect():
-    assert numeric.equivariance_defect(np.eye(3, dtype=complex), (1, 1)) == 0.0
+    assert numeric.equivariance_defect(IDENTITY, (1, 1)) == 0.0
     for seed in range(5):
         a = numeric.haar_random_su3(seed)
         assert numeric.equivariance_defect(a, (1, 1)) < 1e-10
@@ -248,7 +338,7 @@ def test_group_matrix_matches_tensor_transform():
     for seed in range(2):
         a = numeric.haar_random_su3(seed)
         for p, q in BIDEGREES:
-            u = numeric.group_matrix(a.conj(), p, q)
+            u = group_matrix(_conj(a), p, q)
             monos = list(monomials_of_bidegree(p, q))
             for j, m in enumerate(monos):
                 moved = tensor_transform(a, {m: 1.0 + 0j})
@@ -261,15 +351,15 @@ def test_group_matrix_representation_on_all_monomials():
         a = numeric.haar_random_su3(seed)
         b = numeric.haar_random_su3(1000 + seed)
         for p, q in BIDEGREES:
-            lhs = numeric.group_matrix(a, p, q) @ numeric.group_matrix(b, p, q)
-            assert np.max(np.abs(lhs - numeric.group_matrix(a @ b, p, q))) <= 1e-9
+            lhs = group_matrix(a, p, q) @ group_matrix(b, p, q)
+            assert np.max(np.abs(lhs - group_matrix(numeric.matmul(a, b), p, q))) <= 1e-9
 
 
 def test_group_matrix_is_unitary_for_bargmann_weights():
     for seed in range(5):
         a = numeric.haar_random_su3(seed)
         for p, q in BIDEGREES:
-            u = numeric.group_matrix(a, p, q)
+            u = group_matrix(a, p, q)
             w = np.diag([float(monomial_norm_sq(m)) for m in monomials_of_bidegree(p, q)])
             assert np.max(np.abs(u.conj().T @ w @ u - w)) < 1e-10 * np.max(w)
 
@@ -304,6 +394,6 @@ def test_act_bargmann_matches_the_group_matrix_on_mixed_bidegrees():
         for p, q in ((0, 0), (1, 2), (2, 1), (3, 3)):
             monos = list(monomials_of_bidegree(p, q))
             vec = np.array([mixed[m] for m in monos])
-            want = numeric.group_matrix(a, p, q) @ vec
+            want = group_matrix(a, p, q) @ vec
             assert all(abs(got.get(m, 0.0) - c) < 1e-13 for m, c in zip(monos, want))
         assert set(got) <= set(mixed)
