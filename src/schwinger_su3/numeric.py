@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from operator import mul, sub
-from typing import Dict, List, Tuple
+from operator import add, sub
+from itertools import repeat
+from typing import Dict, Iterable, List, Tuple
 
 from .poly import Monomial, monomial_index, monomials_of_bidegree, trace_free_terms
 
@@ -94,49 +95,35 @@ def act_bargmann(a: Matrix, f: NumericPolynomial) -> NumericPolynomial:
     """(U(A) f)(z, w) = f(A^-1 z, conj(A^-1) w) on each bidegree part of f.
 
     With the part's coefficients as a matrix F, z-monomials as rows and
-    w-monomials as columns, U(A) = S kron T acts as F -> S F T^T for the
-    factors (S, T) of group_factors. A monomial c z^a w^b goes to c times
-    column a of S kron column b of T; a larger part first to the rows of
-    F T^T that F does not leave zero, then to S times them. The image lists
-    every monomial of each bidegree of f."""
+    w-monomials as columns, U(A) = S kron T acts as
+    F -> S F T^T = sum_i s_i h_i^T, h_i = sum_j F[i][j] t_j, for the columns
+    s_i and t_j of the factors (S, T) of group_factors: first each h_i from
+    the monomials of f in row i, then the sum of the outer products. The
+    image lists every monomial of each bidegree of f."""
+    parts: Dict[Tuple[int, int], List[Tuple[int, int, complex]]] = {}
+    for m, c in f.items():
+        pq, i, j = _place(m)
+        parts.setdefault(pq, []).append((i, j, c))
     out: NumericPolynomial = {}
-    for (p, q), part in _bidegree_parts(f).items():
+    for (p, q), entries in parts.items():
         s, t = group_factors(a, p, q)
-        index, n_w = monomial_index(p, q), len(t)
-        if len(part) == 1:
-            ((m, c),) = part.items()
-            i, j = divmod(index[m], n_w)
-            row = [c * y for y in t[j]]
-            moved = [x * y for x in s[i] for y in row]
-        else:
-            flat = [0j] * (len(s) * n_w)
-            for m, c in part.items():
-                flat[index[m]] = c
-            t_rows = list(zip(*t))
-            f_rows = [flat[k:k + n_w] for k in range(0, len(flat), n_w)]
-            rows = [(s_col, [sum(map(mul, f_row, t_row)) for t_row in t_rows])
-                    for s_col, f_row in zip(s, f_rows) if any(f_row)]
-            s_rows = list(zip(*(s_col for s_col, _ in rows)))
-            h_cols = list(zip(*(row for _, row in rows)))
-            moved = [sum(map(mul, s_row, h_col)) for s_row in s_rows for h_col in h_cols]
+        h_rows: Dict[int, List[complex]] = {}
+        for i, j, c in entries:
+            h_rows[i] = _add_scaled(h_rows.get(i), c, t[j])
+        moved: List[complex] = []
+        for i, h in h_rows.items():
+            outer = [x * y for x in s[i] for y in h]
+            moved = list(map(add, moved, outer)) if moved else outer
         out.update(zip(monomials_of_bidegree(p, q), moved))
     return out
 
 
-def _bidegree_parts(f: NumericPolynomial) -> Dict[Tuple[int, int], NumericPolynomial]:
-    """f split by bidegree; f itself when every monomial has the bidegree of
-    the first, as in act_bargmann's own images."""
-    first = next(iter(f), None)
-    if first is not None and monomial_index(*_bidegree(first)).keys() >= f.keys():
-        return {_bidegree(first): f}
-    parts: Dict[Tuple[int, int], NumericPolynomial] = {}
-    for m, c in f.items():
-        parts.setdefault(_bidegree(m), {})[m] = c
-    return parts
-
-
-def _bidegree(m: Monomial) -> Tuple[int, int]:
-    return m[0] + m[1] + m[2], m[3] + m[4] + m[5]
+@lru_cache(maxsize=None)
+def _place(m: Monomial) -> Tuple[Tuple[int, int], int, int]:
+    """The bidegree (p, q) of m, and the positions of its z- and w-parts
+    among the z-monomials of degree p and the w-monomials of degree q."""
+    pq = (m[0] + m[1] + m[2], m[3] + m[4] + m[5])
+    return (pq, *divmod(monomial_index(*pq)[m], len(monomial_index(0, pq[1]))))
 
 
 def group_factors(a: Matrix, p: int, q: int) -> Tuple[Factor, Factor]:
@@ -190,9 +177,9 @@ def _raise_layout(p: int) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int,
 
 def equivariance_defect(a: Matrix, bidegree: Tuple[int, int]) -> float:
     """max |P U(A) - U(A) P| on bidegree (p, q), P the float trace-removal
-    projector. Each entry P[r][j] of its sparse columns adds P[r][j] times
-    row j of U(A) to row r of P U(A), and P[r][j] times column r of U(A) to
-    column j of U(A) P."""
+    projector, NaN if any entry is NaN. Each entry P[r][j] of its sparse
+    columns adds P[r][j] times row j of U(A) to row r of P U(A), and P[r][j]
+    times column r of U(A) to column j of U(A) P."""
     p, q = bidegree
     s, t = group_factors(a, p, q)
     cols = [[x * y for x in s_col for y in t_col] for s_col in s for t_col in t]
@@ -203,15 +190,28 @@ def equivariance_defect(a: Matrix, bidegree: Tuple[int, int]) -> float:
         for r, c in p_j:
             pu_rows[r] = _add_scaled(pu_rows[r], c, rows[j])
             up_cols[j] = _add_scaled(up_cols[j], c, cols[r])
-    return max(max(map(abs, map(sub, x, y))) for x, y in zip(pu_rows, zip(*up_cols)))
+    return max_abs(d for x, y in zip(pu_rows, zip(*up_cols)) for d in map(sub, x, y))
 
 
 def _add_scaled(acc, c: float, x):
-    """acc + c x for a vector acc, or c x while acc is None; x itself when
-    c is 1, which the trace-free monomials' columns of P are."""
+    """acc + c x for a vector acc, or c x while acc is None."""
     if acc is None:
-        return x if c == 1.0 else [c * y for y in x]
+        return [c * y for y in x]
     return [z + c * y for z, y in zip(acc, x)]
+
+
+def max_abs(values: Iterable[complex]) -> float:
+    """max |v| over values, NaN if any |v| is NaN (``max`` keeps a NaN only
+    when it comes first), 0 for none. A sum of magnitudes is NaN exactly
+    when one of them is."""
+    mags = list(map(abs, values))
+    return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
+
+
+def max_diff(f: NumericPolynomial, g: NumericPolynomial) -> float:
+    """max |f - g| over the monomials of either polynomial, by max_abs."""
+    keys = f.keys() | g.keys()
+    return max_abs(map(sub, map(f.get, keys, repeat(0.0)), map(g.get, keys, repeat(0.0))))
 
 
 @lru_cache(maxsize=None)
@@ -225,13 +225,14 @@ def projector_columns(p: int, q: int) -> SparseColumns:
 
 def projector_pin(p: int, q: int) -> Tuple[float, float]:
     """(max |P P - P|, trace P) for the projector on bidegree (p, q), read
-    off its sparse columns: column j of P P is sum_t P[t][j] p_t."""
+    off its sparse columns: column j of P P is sum_t P[t][j] p_t. The first
+    is NaN if any entry of P P - P is."""
     cols = projector_columns(p, q)
-    worst = 0.0
+    defects: List[float] = []
     for col in cols:
         square = {r: -c for r, c in col}
         for t, c in col:
             for r, x in cols[t]:
                 square[r] = square.get(r, 0.0) + c * x
-        worst = max(worst, *map(abs, square.values()))
-    return worst, sum(c for j, col in enumerate(cols) for r, c in col if r == j)
+        defects.extend(square.values())
+    return max_abs(defects), sum(c for j, col in enumerate(cols) for r, c in col if r == j)

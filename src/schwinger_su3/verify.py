@@ -13,8 +13,6 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
-from operator import sub
 from typing import Dict, List
 
 from . import basis
@@ -435,13 +433,6 @@ def _nan_max(x: float, y: float) -> float:
     return y if y > x or math.isnan(y) else x
 
 
-def _max_diff(f: Dict, g: Dict) -> float:
-    """max |f - g| over the monomials of either float polynomial; 0 for two empty ones."""
-    keys = f.keys() | g.keys()
-    return max(map(abs, map(sub, map(f.get, keys, repeat(0.0)), map(g.get, keys, repeat(0.0)))),
-               default=0.0)
-
-
 def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
     """The float projector at bidegree (2,2), its commutation with the action
     there, the action on degree one, and the representation property on
@@ -477,8 +468,8 @@ def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
             column = [row[j] for row in a]  # B[j][k] = conj(A[k][j])
             for shift, image in ((0, [c.conjugate() for c in column]), (3, column)):
                 x = variables[shift + j]
-                d = _max_diff(numeric.act_bargmann(a, {x: 1.0 + 0.0j}),
-                              dict(zip(variables[shift:], image)))
+                d = numeric.max_diff(numeric.act_bargmann(a, {x: 1.0 + 0.0j}),
+                                     dict(zip(variables[shift:], image)))
                 tally(d <= REPRESENTATION_TOL, "action", seed + i, x)
                 max_act = _nan_max(max_act, d)
         b = numeric.haar_random_su3(seed + samples + i)
@@ -487,7 +478,7 @@ def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
             f = {m: 1.0 + 0.0j}
             lhs = numeric.act_bargmann(a, numeric.act_bargmann(b, f))
             rhs = numeric.act_bargmann(ab, f)
-            d = _max_diff(lhs, rhs)
+            d = numeric.max_diff(lhs, rhs)
             tally(d <= REPRESENTATION_TOL, "representation", seed + i, m)
             max_rep = _nan_max(max_rep, d)
     return tally.result("numeric_equivariance", max_projection_defect=max_proj,

@@ -288,6 +288,21 @@ def _double_projector(mp):
                lambda p, q: tuple(tuple((r, 2 * c) for r, c in col) for col in original(p, q)))
 
 
+def _nan_projector_entry(mp):
+    # a NaN in one entry off the diagonal of the last column that has one:
+    # trace P never reads it, and ``max`` drops a NaN that does not come first
+    original = numeric.projector_columns
+
+    def patched(p, q):
+        cols = [list(col) for col in original(p, q)]
+        j = max(j for j, col in enumerate(cols) if any(r != j for r, _ in col))
+        k = next(k for k, (r, _) in enumerate(cols[j]) if r != j)
+        cols[j][k] = (cols[j][k][0], math.nan)
+        return tuple(map(tuple, cols))
+
+    mp.setattr(numeric, "projector_columns", patched)
+
+
 def _on_states(suite, max_pq):
     """The suite at max_pq on states built inside the call, so that a patch
     reaches their construction too."""
@@ -408,6 +423,10 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
      {"failures": 1, "first_failure": "projector"}),
     ("projector-doubled", 11, _double_projector, _numeric,
      {"failures": 1, "first_failure": "projector"}),
+    # the NaN reaches P P - P and P U(A) - U(A) P in entries past the first:
+    # the pin and each sample's commutation check fail
+    ("projector-nan-entry", 11, _nan_projector_entry, _numeric,
+     {"failures": 3, "first_failure": "projector", "max_projection_defect": math.isnan}),
     ("cn-unsigned", 12, _drop_cn_sign, verify.suite_cn_dual_route,
      {"failures": 1296, "first_failure": "1 1 0 0"}),
 ]

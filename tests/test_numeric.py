@@ -90,7 +90,7 @@ def test_numeric_route_agrees_with_numpy():
             assert np.max(np.abs(np.array(got_t).T - t)) < 1e-12
             u = np.kron(s, t)
             monos = monomials_of_bidegree(p, q)
-            # one monomial, and a dense part, the two paths of act_bargmann
+            # one monomial, and a part with every monomial
             dense = {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in monos}
             for f in ({monos[-1]: 0.5 - 2j}, dense):
                 vec = np.array([f.get(m, 0.0) for m in monos])
@@ -102,6 +102,31 @@ def test_numeric_route_agrees_with_numpy():
             idempotence, trace = numeric.projector_pin(p, q)
             assert abs(idempotence - np.max(np.abs(proj @ proj - proj))) < 1e-12
             assert abs(trace - np.trace(proj)) < 1e-12
+
+
+def test_action_lists_every_monomial_of_each_bidegree():
+    a = numeric.haar_random_su3(5)
+    # a part whose coefficients are all zero still lists its bidegree
+    zero = {m: 0j for m in monomials_of_bidegree(2, 1)[3:5]}
+    one = monomials_of_bidegree(1, 3)[0]
+    out = numeric.act_bargmann(a, {**zero, one: 1 + 0j})
+    assert set(out) == set(monomials_of_bidegree(2, 1)) | set(monomials_of_bidegree(1, 3))
+    assert all(out[m] == 0 for m in monomials_of_bidegree(2, 1))
+    assert _max_diff(out, numeric.act_bargmann(a, {one: 1 + 0j})) == 0.0
+
+
+def test_max_abs_keeps_a_nan_wherever_it_comes():
+    nan = float("nan")
+    assert numeric.max_abs([0.5, -2j, 1.0]) == 2.0
+    assert numeric.max_abs([]) == 0.0
+    for k in range(3):
+        values = [0.5, -2j, 1.0]
+        values[k] = complex(nan, 0.0)
+        assert math.isnan(numeric.max_abs(values))
+    f = {m: 1 + 0j for m in monomials_of_bidegree(1, 1)}
+    g = {**f, monomials_of_bidegree(1, 1)[-1]: complex(nan, 0.0)}
+    assert numeric.max_diff(f, f) == 0.0
+    assert math.isnan(numeric.max_diff(f, g))
 
 
 def test_haar_sampler_is_deterministic():
