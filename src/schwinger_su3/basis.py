@@ -30,6 +30,7 @@ from .poly import (
     kminus_terms,
     monomials_of_bidegree,
     poly_to_records,
+    rebuild_polynomial,
     trace_free_terms,
     traceless_project,
     wire_rational,
@@ -161,8 +162,7 @@ def basis_state(key: BasisKey) -> NormalizedState:
     p, q = key.rep.p, key.rep.q
     w = key.weight
     terms, _ = trace_free_terms({(w.r, 0, p - w.r, 0, w.s, q - w.s): 1}, p, q)
-    g = math.gcd(*terms.values())
-    poly = Polynomial({m: c // g for m, c in terms.items()})
+    poly = rebuild_polynomial(terms, {}, math.gcd(*terms.values()))
     for _ in range((key.m2 - k_of(key.rep)) // 2):
         poly = poly * ZW
     for _ in range((w.I2 - w.M2) // 2):

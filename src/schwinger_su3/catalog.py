@@ -54,7 +54,7 @@ class Record:
         return hash(self._fields(self))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if type(other) is not type(self):
             return NotImplemented
         return self._fields(self) == other._fields(other)
 

@@ -9,10 +9,11 @@ sphere functions only ever use the rational subfield.
 A ``Polynomial`` holds one value in up to two forms, each built at most
 once and only when read: the ``Qsqrt3`` term dict ``terms``, and the reduced
 integer channels (R, S, L) of ``channels``, on which products, sums,
-differences and trace removal run.  A result of those operations stores only
-its channels; its term dict is built on the first read of ``terms``, and
-``bool``, ``bidegree`` and ``==`` against another polynomial that stores
-channels never build it.
+differences and trace removal run.  A result of those operations, and any
+polynomial the library builds from its own integers, comes from
+``rebuild_polynomial`` and stores only its channels; the first read of
+``terms`` builds and stores its term dict, and ``bool``, ``bidegree`` and
+``==`` against another polynomial that stores channels never build it.
 
 The trace series behind trace removal (K- = sum_j d/dz_j d/dw_j, the z.w
 multiplier, and the cofactor series in Horner form) is a kernel on plain
@@ -60,8 +61,9 @@ def monomial_norm_sq(m: Monomial) -> int:
 class Polynomial:
     """Canonical sparse polynomial: a map monomial -> nonzero Qsqrt3.  One
     from the constructor or ``_of`` stores its term dict, and its reduced
-    integer channels once ``channels`` is first called; one rebuilt from
-    channels stores them, and its term dict once ``terms`` is first read."""
+    integer channels once ``channels`` is first called; one from
+    ``rebuild_polynomial`` stores its channels and leaves the ``terms`` slot
+    unset until the first read of ``terms`` builds and stores the term dict."""
 
     __slots__ = ("terms", "_cleared")
 
@@ -80,6 +82,18 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: ``terms`` of a rebuilt polynomial, built
+        # once, each part an ``int`` where it is integral, else a ``Fraction``
+        if name != "terms":
+            raise AttributeError(name)
+        rat, surd, den = self._cleared
+        of = Qsqrt3._of
+        terms = {m: of(ratio(c, den), ratio(surd.get(m, 0), den)) for m, c in rat.items()}
+        terms.update((m, of(0, ratio(c, den))) for m, c in surd.items() if m not in rat)
+        object.__setattr__(self, "terms", terms)
+        return terms
 
     @staticmethod
     def _of(terms: Dict[Monomial, Qsqrt3]) -> "Polynomial":
@@ -122,7 +136,10 @@ class Polynomial:
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        if self._cleared is None:
+            return bool(self.terms)
+        rat, surd, _ = self._cleared
+        return bool(rat or surd)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -178,7 +195,15 @@ class Polynomial:
 
     def bidegree(self) -> Tuple[int, int] | None:
         """(z-degree, w-degree) if bihomogeneous, else None.  Zero -> None."""
-        return _common_bidegree(self.terms)
+        cleared = self._cleared
+        deg = None
+        for m in self.terms if cleared is None else (*cleared[0], *cleared[1]):
+            d = (m[0] + m[1] + m[2], m[3] + m[4] + m[5])
+            if deg is None:
+                deg = d
+            elif d != deg:
+                return None
+        return deg
 
     def bidegree_split(self) -> Dict[Tuple[int, int], "Polynomial"]:
         """Partition into bihomogeneous components keyed by (p, q)."""
@@ -200,45 +225,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-def _common_bidegree(monomials) -> Tuple[int, int] | None:
-    deg = None
-    for m in monomials:
-        d = (m[0] + m[1] + m[2], m[3] + m[4] + m[5])
-        if deg is None:
-            deg = d
-        elif d != deg:
-            return None
-    return deg
-
-
-class _Rebuilt(Polynomial):
-    """A polynomial that stores only its reduced channels. The first read of
-    ``terms`` builds and stores the term dict and makes it a plain
-    ``Polynomial``, so no other attribute read pays for the laziness."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "terms":
-            raise AttributeError(name)
-        # each part an ``int`` where it is integral and a ``Fraction`` otherwise
-        rat, surd, den = self._cleared
-        of = Qsqrt3._of
-        terms = {m: of(ratio(c, den), ratio(surd.get(m, 0), den)) for m, c in rat.items()}
-        terms.update((m, of(0, ratio(c, den))) for m, c in surd.items() if m not in rat)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "__class__", Polynomial)
-        return terms
-
-    def __bool__(self) -> bool:
-        rat, surd, _ = self._cleared
-        return bool(rat or surd)
-
-    def bidegree(self) -> Tuple[int, int] | None:
-        rat, surd, _ = self._cleared
-        return _common_bidegree((*rat, *surd))
-
-
 # -- integer channels --------------------------------------------------------------
 
 
@@ -257,9 +243,10 @@ def rebuild_polynomial(rat: Terms, surd: Terms, den: int) -> Polynomial:
     """Inverse of ``clear_terms``: the polynomial with coefficients
     (rat[m] + surd[m] sqrt 3) / den; zero coefficients go. It stores the
     channels, divided by their gcd with den, and builds its term dict only
-    when ``terms`` is read."""
+    when ``terms`` is read.  The library builds every polynomial of its own
+    integer data here; the constructor checks outside input."""
     g = math.gcd(den, *rat.values(), *surd.values())
-    p = _Rebuilt.__new__(_Rebuilt)
+    p = Polynomial.__new__(Polynomial)
     object.__setattr__(p, "_cleared", ({m: c // g for m, c in rat.items() if c},
                                        {m: c // g for m, c in surd.items() if c}, den // g))
     return p

@@ -50,7 +50,13 @@ from .operators import (
     su2_ladder,
     su3_generator,
 )
-from .poly import Polynomial, bargmann_inner, monomials_of_bidegree, trace_free_terms
+from .poly import (
+    Polynomial,
+    bargmann_inner,
+    monomials_of_bidegree,
+    rebuild_polynomial,
+    trace_free_terms,
+)
 from .scalars import CScalar, Qsqrt3
 
 _KMINUS = sp2r_generator("Kminus")
@@ -248,15 +254,18 @@ def suite_casimir(max_pq: int, states: List[NormalizedState]) -> Dict:
 
 
 def random_bihomogeneous(p: int, q: int, rng: random.Random) -> Polynomial:
-    """Dense-ish random rational polynomial of bidegree (p, q)."""
-    terms = {}
-    for m in monomials_of_bidegree(p, q):
+    """Dense-ish random rational polynomial of bidegree (p, q): per monomial a
+    numerator in -9..9 and, when it is nonzero, a denominator in 1..9, with
+    the first monomial alone when every numerator is zero."""
+    monomials = monomials_of_bidegree(p, q)
+    draws = {}
+    for m in monomials:
         num = rng.randint(-9, 9)
         if num:
-            terms[m] = Fraction(num, rng.randint(1, 9))
-    if not terms:
-        terms[next(iter(monomials_of_bidegree(p, q)))] = Fraction(1)
-    return Polynomial(terms)
+            draws[m] = num, rng.randint(1, 9)
+    draws = draws or {monomials[0]: (1, 1)}
+    den = math.lcm(*(d for _, d in draws.values()))
+    return rebuild_polynomial({m: n * (den // d) for m, (n, d) in draws.items()}, {}, den)
 
 
 def suite_trace_projector(samples: int, max_each: int, seed: int) -> Dict:
@@ -428,11 +437,6 @@ def suite_cn_dual_route() -> Dict:
     return tally.result("cn_dual_route", max_each=CN_BOUND)
 
 
-def _nan_max(x: float, y: float) -> float:
-    """max(x, y), but NaN if either is NaN (``max`` drops a NaN second argument)."""
-    return y if y > x or math.isnan(y) else x
-
-
 def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
     """The float projector at bidegree (2,2), its commutation with the action
     there, the action on degree one, and the representation property on
@@ -441,7 +445,7 @@ def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
     tally = _Tally()
     from . import numeric
 
-    max_proj = max_act = max_rep = 0.0
+    proj, act, rep = [], [], []
     test_monomials = [
         m
         for p in range(4)
@@ -460,7 +464,7 @@ def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
         a = numeric.haar_random_su3(seed + i)
         d = numeric.equivariance_defect(a, (2, 2))
         tally(d <= PROJECTION_TOL, "projection", seed + i)
-        max_proj = _nan_max(max_proj, d)
+        proj.append(d)
         # the representation property holds for the trivial and the zero
         # action too; degree one says which action it is: z_j -> sum_k B[j][k] z_k
         # with B = A^dagger, read off the sample itself, and w_j the same by conj(B)
@@ -471,7 +475,7 @@ def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
                 d = numeric.max_diff(numeric.act_bargmann(a, {x: 1.0 + 0.0j}),
                                      dict(zip(variables[shift:], image)))
                 tally(d <= REPRESENTATION_TOL, "action", seed + i, x)
-                max_act = _nan_max(max_act, d)
+                act.append(d)
         b = numeric.haar_random_su3(seed + samples + i)
         ab = numeric.matmul(a, b)
         for m in test_monomials:
@@ -480,9 +484,10 @@ def suite_numeric_equivariance(samples: int, seed: int) -> Dict:
             rhs = numeric.act_bargmann(ab, f)
             d = numeric.max_diff(lhs, rhs)
             tally(d <= REPRESENTATION_TOL, "representation", seed + i, m)
-            max_rep = _nan_max(max_rep, d)
-    return tally.result("numeric_equivariance", max_projection_defect=max_proj,
-                        max_action_defect=max_act, max_representation_defect=max_rep,
+            rep.append(d)
+    return tally.result("numeric_equivariance", max_projection_defect=numeric.max_abs(proj),
+                        max_action_defect=numeric.max_abs(act),
+                        max_representation_defect=numeric.max_abs(rep),
                         samples=samples, seed=seed)
 
 

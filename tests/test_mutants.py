@@ -288,19 +288,44 @@ def _double_projector(mp):
                lambda p, q: tuple(tuple((r, 2 * c) for r, c in col) for col in original(p, q)))
 
 
-def _nan_projector_entry(mp):
-    # a NaN in one entry off the diagonal of the last column that has one:
-    # trace P never reads it, and ``max`` drops a NaN that does not come first
-    original = numeric.projector_columns
+def _projector_entry(column, change):
+    """Patch the first entry off the diagonal of the projector column that
+    column(cols) picks: its value c becomes change(c)."""
+    def patch(mp):
+        original = numeric.projector_columns
 
-    def patched(p, q):
-        cols = [list(col) for col in original(p, q)]
-        j = max(j for j, col in enumerate(cols) if any(r != j for r, _ in col))
-        k = next(k for k, (r, _) in enumerate(cols[j]) if r != j)
-        cols[j][k] = (cols[j][k][0], math.nan)
-        return tuple(map(tuple, cols))
+        def patched(p, q):
+            cols = [list(col) for col in original(p, q)]
+            j = column(cols)
+            k = next(k for k, (r, _) in enumerate(cols[j]) if r != j)
+            cols[j][k] = (cols[j][k][0], change(cols[j][k][1]))
+            return tuple(map(tuple, cols))
 
-    mp.setattr(numeric, "projector_columns", patched)
+        mp.setattr(numeric, "projector_columns", patched)
+
+    return patch
+
+
+# a NaN in one entry off the diagonal of the last column that has one: trace P
+# never reads it, and ``max`` drops a NaN that does not come first
+_nan_projector_entry = _projector_entry(
+    lambda cols: max(j for j, col in enumerate(cols) if any(r != j for r, _ in col)),
+    lambda c: math.nan)
+# 3e-10, three times PROJECTION_TOL, on the first column; P P - P and both
+# samples' P U(A) - U(A) P then read 1.8e-10 to 2.3e-10
+_raise_projector_entry = _projector_entry(lambda cols: 0, lambda c: c + 3e-10)
+
+
+def _scale_z_factors(mp):
+    # every entry of Sym^p(B), the factor that acts on the z variables, scaled
+    # by 1 + 3e-9: three times REPRESENTATION_TOL
+    original = numeric.group_factors
+
+    def scaled(a, p, q):
+        s, t = original(a, p, q)
+        return tuple(tuple(x * (1 + 3e-9) for x in col) for col in s), t
+
+    mp.setattr(numeric, "group_factors", scaled)
 
 
 def _on_states(suite, max_pq):
@@ -427,6 +452,14 @@ ROWS = [  # (id, criterion, patch, suite call, pinned result fields)
     # the pin and each sample's commutation check fail
     ("projector-nan-entry", 11, _nan_projector_entry, _numeric,
      {"failures": 3, "first_failure": "projector", "max_projection_defect": math.isnan}),
+    # a defect three times a tolerance fails it, and TOLERANCE_ROWS below lets
+    # each through at ten times the tolerance. Scaled z-factors leave the pin
+    # and the commutation with P, which a constant factor keeps, and two
+    # representation checks whose images have small coefficients
+    ("z-factors-scaled", 11, _scale_z_factors, _numeric,
+     {"failures": 72, "first_failure": "action 0 (1, 0, 0, 0, 0, 0)"}),
+    ("projector-entry-raised", 11, _raise_projector_entry, _numeric,
+     {"failures": 3, "first_failure": "projector"}),
     ("cn-unsigned", 12, _drop_cn_sign, verify.suite_cn_dual_route,
      {"failures": 1296, "first_failure": "1 1 0 0"}),
 ]
@@ -448,6 +481,20 @@ def test_mutant_fails_its_criterion(monkeypatch, criterion, patch, run, pinned):
     for key, want in pinned.items():
         got = result[key]
         assert want(got) if callable(want) else got == want, (key, got)
+
+
+TOLERANCE_ROWS = [("z-factors-scaled", "REPRESENTATION_TOL"),
+                  ("projector-entry-raised", "PROJECTION_TOL")]
+
+
+@pytest.mark.parametrize("row, tolerance", TOLERANCE_ROWS, ids=[row for row, _ in TOLERANCE_ROWS])
+def test_tolerance_row_passes_at_ten_times_its_tolerance(monkeypatch, row, tolerance):
+    # the row's defect sits within a factor 10 above its tolerance, so a
+    # tolerance loosened tenfold lets the row through
+    patch, run = next((r[2], r[3]) for r in ROWS if r[0] == row)
+    patch(monkeypatch)
+    monkeypatch.setattr(verify, tolerance, 10 * getattr(verify, tolerance))
+    assert run()["passed"] is True
 
 
 def test_rows_cover_the_twelve_criteria():

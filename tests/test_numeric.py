@@ -2,6 +2,7 @@
 route: the factors, the action, the projector and its commutation, on
 matrices converted with np.array."""
 
+import cmath
 import itertools
 import math
 import random
@@ -151,6 +152,24 @@ def test_su3_check_refuses_a_matrix_off_the_group():
     with pytest.raises(ValueError, match="determinant"):
         numeric._check_su3(((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, -1 + 0j)))
     numeric._check_su3(IDENTITY)
+
+
+# diag(1 + d, 1, 1/(1 + d)) has determinant 1 and a Gram matrix 3e-12 off
+# the identity; diag(e^(i t), 1, 1) is unitary with |det - 1| = 3e-12
+_D = 1.5e-12
+
+
+@pytest.mark.parametrize("a, message", [
+    pytest.param(((1 + _D + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 / (1 + _D) + 0j)),
+                 "not unitary", id="off-unitary"),
+    pytest.param(((cmath.exp(3e-12j), 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j)),
+                 "determinant", id="off-determinant"),
+])
+def test_su3_check_refuses_3e_12_and_passes_at_ten_times_its_tolerance(monkeypatch, a, message):
+    with pytest.raises(ValueError, match=message):
+        numeric._check_su3(a)
+    monkeypatch.setattr(numeric, "UNITARITY_TOL", 10 * numeric.UNITARITY_TOL)
+    numeric._check_su3(a)
 
 
 def test_haar_first_entry_moment():

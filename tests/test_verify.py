@@ -14,7 +14,7 @@ import pytest
 from schwinger_su3 import verify
 from schwinger_su3.basis import NormalizedState
 from schwinger_su3.catalog import k_of
-from schwinger_su3.poly import Polynomial
+from schwinger_su3.poly import Polynomial, monomials_of_bidegree
 
 
 @pytest.mark.parametrize("run", [
@@ -102,6 +102,33 @@ def test_random_draws_are_pinned():
     rng = random.Random(0)
     rng.randint = lambda a, b: 0
     assert verify.random_bihomogeneous(1, 0, rng) == Polynomial({(0, 0, 1, 0, 0, 0): 1})
+
+
+def _random_bihomogeneous_reference(p, q, rng):
+    """The reference route: the same draws, a ``Fraction`` per monomial
+    through the checking constructor."""
+    terms = {}
+    for m in monomials_of_bidegree(p, q):
+        num = rng.randint(-9, 9)
+        if num:
+            terms[m] = Fraction(num, rng.randint(1, 9))
+    if not terms:
+        terms[next(iter(monomials_of_bidegree(p, q)))] = Fraction(1)
+    return Polynomial(terms)
+
+
+# seed 23 draws a zero numerator first, so both routes fall back at (0, 0)
+@pytest.mark.parametrize("seed", [0, 1, 7, 23])
+def test_random_draws_match_the_fraction_route(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for p in range(5):
+        for q in range(5):
+            f = verify.random_bihomogeneous(p, q, ours)
+            g = _random_bihomogeneous_reference(p, q, ref)
+            assert f == g and f.terms == g.terms, (p, q)
+            assert ours.getstate() == ref.getstate(), (p, q)
+            if (seed, p, q) == (23, 0, 0):
+                assert f == Polynomial.constant(1)
 
 
 def test_label_and_peeling_checks_reach_their_levels():
