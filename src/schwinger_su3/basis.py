@@ -184,12 +184,7 @@ def enumerate_basis_keys(max_pq: int) -> Iterator[BasisKey]:
                         yield BasisKey(rep=rep, weight=weight, m2=k2 + 2 * level)
 
 
-# -- the trace condition and the sp(2,R) Casimir ---------------------------------
-
-
-def h0_membership(f: Polynomial) -> bool:
-    """True iff the trace contraction d/dz . d/dw annihilates f exactly."""
-    return not _generator("Kminus").apply_real(f)
+# -- the sp(2,R) Casimir ------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)

@@ -251,7 +251,7 @@ def cmd_map(args) -> int:
         raise CliError(str(exc)) from None
     channels = [{"p": p, "q": q, **wire_rational(sf.scale_sq((p, q)), "scale_sq_"),
                  "terms": poly_to_records(part)}
-                for (p, q), part in sorted(sf.poly.bidegree_split().items())]
+                for (p, q), part in sorted(sf.parts.items())]
     print(_dump_json({"channels": channels}))
     return 0
 

@@ -12,10 +12,11 @@ obtained by radial reduction of the Gaussian integral against the delta
 constraint; its anchors (total volume 1/2, traceless-channel constant
 1/(p+q+2)!) are pinned in the test suite.
 
-Channelwise scale factors sqrt((p+q+2)!) from the equivalence map are
-irrational, so they are read as exact squared scales per bidegree channel;
-inner products stay rational because cross-channel traceless contributions
-vanish and same-channel products square the scale.
+A sphere function holds its bidegree channels, split once when it is made.
+The equivalence map scales channel (p, q) by the irrational sqrt((p+q+2)!),
+read as the exact squared scale (p+q+2)!; inner products stay rational because
+cross-channel traceless contributions vanish and same-channel products square
+the scale.  The trace-free test is ``poly.h0_membership``, the trace kernel's K-.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .basis import h0_membership
 from .catalog import Record, _set
-from .poly import Polynomial, charge, monomial_norm_sq
+from .poly import Polynomial, charge, h0_membership, monomial_norm_sq
 
 Channel = Tuple[int, int]
 
@@ -36,13 +36,13 @@ class TraceConditionError(ValueError):
 
 
 class SphereFunction(Record):
-    """A polynomial in xi and conj(xi); a scaled one is an image of the
-    equivalence map, whose channel (p, q) carries the scale sqrt((p+q+2)!)."""
+    """A polynomial in xi and conj(xi) as its channels (p, q) -> part of bidegree
+    (p, q); a scaled one is an image of the equivalence map, scaled per channel."""
 
-    __slots__ = ("poly", "traceless", "scaled")
+    __slots__ = ("parts", "traceless", "scaled")
 
-    def __init__(self, poly: Polynomial, traceless: bool, scaled: bool):
-        _set(self, "poly", poly)
+    def __init__(self, parts: Dict[Channel, Polynomial], traceless: bool, scaled: bool):
+        _set(self, "parts", parts)
         _set(self, "traceless", traceless)
         _set(self, "scaled", scaled)
 
@@ -59,7 +59,7 @@ def sphere_monomial_integral(holo: Tuple[int, int, int], anti: Tuple[int, int, i
 
 def make_sphere_function(poly: Polynomial) -> SphereFunction:
     """Wrap a polynomial in xi/xi* variables, detecting tracelessness exactly."""
-    return SphereFunction(poly=poly, traceless=h0_membership(poly), scaled=False)
+    return SphereFunction(parts=poly.bidegree_split(), traceless=h0_membership(poly), scaled=False)
 
 
 def _sqrt_exact(x: Fraction) -> Fraction:
@@ -79,9 +79,8 @@ def sphere_inner_direct(phi: SphereFunction, psi: SphereFunction) -> Fraction:
     with its own charge.
     """
     total = Fraction(0)
-    phi_parts = phi.poly.bidegree_split()
-    psi_buckets = {cq: _charge_buckets(gq) for cq, gq in psi.poly.bidegree_split().items()}
-    for cp, fp in phi_parts.items():
+    psi_buckets = {cq: _charge_buckets(gq) for cq, gq in psi.parts.items()}
+    for cp, fp in phi.parts.items():
         for cq, buckets in psi_buckets.items():
             base = Fraction(0)
             for m1, c1 in fp.terms.items():
@@ -114,10 +113,8 @@ def induced_inner_formula(phi: SphereFunction, psi: SphereFunction) -> Fraction:
     if not (phi.traceless and psi.traceless):
         raise TraceConditionError("induced inner product formula assumes traceless input")
     total = Fraction(0)
-    phi_parts = phi.poly.bidegree_split()
-    psi_parts = psi.poly.bidegree_split()
-    for chan, fp in phi_parts.items():
-        gq = psi_parts.get(chan)
+    for chan, fp in phi.parts.items():
+        gq = psi.parts.get(chan)
         if gq is None:
             continue
         p, q = chan
@@ -143,4 +140,4 @@ def equivalence_map(f: Polynomial) -> SphereFunction:
         raise TraceConditionError(
             "equivalence map requires a trace-free (K- annihilated) input"
         )
-    return SphereFunction(poly=f, traceless=True, scaled=True)
+    return SphereFunction(parts=f.bidegree_split(), traceless=True, scaled=True)

@@ -19,9 +19,9 @@ The trace series behind trace removal (K- = sum_j d/dz_j d/dw_j, the z.w
 multiplier, and the cofactor series in Horner form) is a kernel on plain
 term dicts: it only adds coefficients and multiplies them by integers, so
 the exact projector runs it on integer-cleared coefficients and the float
-shadow in ``numeric`` on complex ones.  Trace removal lives here, on that
-kernel: ``traceless_project`` and ``zw_cofactor`` (which ``basis`` imports),
-so the ``project`` command loads no basis-state code.
+shadow in ``numeric`` on complex ones.  Trace removal and the trace-free test
+live here, on that kernel (``traceless_project``, ``zw_cofactor``,
+``h0_membership``), so ``project`` and ``map`` load no basis or operator code.
 """
 
 from __future__ import annotations
@@ -310,6 +310,12 @@ def kminus_terms(terms: Terms) -> Terms:
             t = (a1, a2, a3 - 1, b1, b2, b3 - 1)
             out[t] = get(t, 0) + a3 * b3 * c
     return _nonzero(out)
+
+
+def h0_membership(f: Polynomial) -> bool:
+    """True iff K- annihilates f exactly, read on its integer channels."""
+    rat, surd, _ = f.channels()
+    return not (kminus_terms(rat) or kminus_terms(surd))
 
 
 def zw_mul_terms(terms: Terms) -> Terms:

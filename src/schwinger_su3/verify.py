@@ -25,7 +25,6 @@ from .basis import (
     charge_block_rank,
     cn_coeffs,
     enumerate_basis_keys,
-    h0_membership,
     kminus_kernel_dimension,
     lower_norm_ratio,
     predicted_hw_norm_sq,
@@ -53,6 +52,7 @@ from .operators import (
 from .poly import (
     Polynomial,
     bargmann_inner,
+    h0_membership,
     monomials_of_bidegree,
     rebuild_polynomial,
     trace_free_terms,

@@ -11,7 +11,6 @@ from schwinger_su3.basis import (
     basis_state,
     cn_coeffs,
     enumerate_basis_keys,
-    h0_membership,
     hw_norm_constant_sq,
     kminus_kernel_dimension,
     lower_norm_ratio,
@@ -35,6 +34,7 @@ from schwinger_su3.operators import sp2r_generator, su2_ladder, su3_generator
 from schwinger_su3.poly import (
     Polynomial,
     bargmann_inner,
+    h0_membership,
     monomials_of_bidegree,
     poly_from_records,
 )
@@ -340,6 +340,10 @@ def test_h0_membership():
     assert h0_membership(Z1 * W2 - Z2 * W1)
     assert not h0_membership(ZW)
     assert h0_membership(Polynomial.constant(5))
+    # z1 w1 sqrt 3 has no rational part; K- of it is sqrt 3
+    surd = Polynomial.monomial((1, 0, 0, 1, 0, 0), Qsqrt3(0, 1))
+    assert not h0_membership(surd) and not h0_membership(surd - ZW.scale(Fraction(1, 3)))
+    assert h0_membership(traceless_project(surd) + Z1.scale(Qsqrt3(0, 1)))
 
 
 def test_kernel_dimensions_small():

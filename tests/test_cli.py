@@ -536,6 +536,7 @@ def test_startup_loads_verify_only_on_demand_and_never_numpy():
     lowered = _fresh_run(*state, "--M=-1/2")
     assert "operators" not in top["loaded"] and "operators" in lowered["loaded"]
     mapped = _fresh_run("map", stdin=z1w2)
+    assert mapped["loaded"] == ["catalog", "cli", "induced", "poly", "scalars"]
     exact = _fresh_run("verify", *small)
     assert json.loads(exact["out"])["pass"] is True and "verify" in exact["loaded"]
     numeric = _fresh_run("verify", "--numeric", *small, "--numeric-samples", "1")
@@ -545,21 +546,40 @@ def test_startup_loads_verify_only_on_demand_and_never_numpy():
         assert not run["numpy"], run["loaded"]
 
 
-def test_numeric_verify_passes_with_numpy_blocked():
-    # an import of numpy anywhere in the run raises ImportError
+def _blocked_run(blocked, *argv, stdin=None):
+    """Run the CLI on argv in a fresh interpreter in which importing any of the
+    named modules raises ImportError."""
     src = str(Path(schwinger_su3.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ('import sys; sys.modules["numpy"] = None\n'
+    code = ('import sys\n'
+            'for name in sys.argv[1].split(): sys.modules[name] = None\n'
             'from schwinger_su3 import cli\n'
-            'sys.exit(cli.main(sys.argv[1:]))')
-    proc = subprocess.run([sys.executable, "-c", code, "verify", "--max-pq", "0", "--degree", "1",
-                           "--samples", "1", "--numeric", "--numeric-samples", "2"],
+            'sys.exit(cli.main(sys.argv[2:]))')
+    return subprocess.run([sys.executable, "-c", code, " ".join(blocked), *argv], input=stdin,
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_numeric_verify_passes_with_numpy_blocked():
+    proc = _blocked_run(["numpy"], "verify", "--max-pq", "0", "--degree", "1",
+                        "--samples", "1", "--numeric", "--numeric-samples", "2")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     numeric = [s for s in doc["suites"] if s["name"] == "numeric_equivariance"]
     assert doc["pass"] is True and numeric and numeric[0]["checks"] > 0
+
+
+def test_map_prints_the_same_bytes_with_basis_and_operators_blocked():
+    # the trace-free test runs on poly's kernel, so map needs neither module
+    blocked = ["schwinger_su3.basis", "schwinger_su3.operators"]
+    two_channels = ('[{"exps":[1,0,0,0,1,0],"num":"3","den":"7"},{"exps":[0,0,1,0,0,0],'
+                    '"num":"-2","den":"5","surd_num":"1","surd_den":"3"}]')
+    traceful = '[{"exps":[1,0,0,1,0,0],"num":"1","den":"1"}]'
+    for stdin, rc in ((two_channels, 0), (traceful, 2)):
+        free, held = (_blocked_run(b, "map", stdin=stdin) for b in ([], blocked))
+        assert (held.returncode, held.stdout, held.stderr) == (free.returncode, free.stdout,
+                                                               free.stderr)
+        assert free.returncode == rc and (free.stdout if rc == 0 else free.stderr)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -74,8 +75,28 @@ def test_equivalence_map_anchors():
     assert sphere_inner_direct(psi, psi) == 1
     assert induced_inner_formula(psi, psi) == 1
     zero = equivalence_map(Polynomial.zero())
-    assert not zero.poly
+    assert not zero.parts
     assert sphere_inner_direct(zero, zero) == 0
+
+
+def test_sphere_functions_hold_their_bidegree_split():
+    rng = random.Random(5)
+    mixed = _random_traceless(rng, 1, 1) + _random_traceless(rng, 2, 0)
+    for f in (mixed, ZW + XI1, Polynomial.zero()):
+        sf = make_sphere_function(f)
+        assert sf.parts == f.bidegree_split() and not sf.scaled
+        assert sf.traceless == (f != ZW + XI1)
+    image = equivalence_map(mixed)
+    assert image.parts == mixed.bidegree_split() and set(image.parts) == {(1, 1), (2, 0)}
+
+
+def test_sphere_function_replace_and_copy_round_trip():
+    f = make_sphere_function(_random_traceless(random.Random(6), 2, 1) + XI1)
+    for g in (f.replace(), copy.copy(f), f.replace(scaled=True).replace(scaled=False)):
+        assert g == f and g.parts == f.parts
+        assert sphere_inner_direct(g, f) == sphere_inner_direct(f, f)
+    scaled = f.replace(scaled=True)
+    assert scaled != f and scaled.parts is f.parts and scaled.scale_sq((2, 1)) == 120
 
 
 def test_equivalence_map_rejects_traceful_input():

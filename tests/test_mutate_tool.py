@@ -1,7 +1,7 @@
 """tools/mutate.py's site enumeration, on which the counts in MUTANTS.json rest:
 one site per swappable operator and per int constant, in source order, one
-always-true site per tally call with a condition, and a swap that the sweep
-can undo."""
+always-true site per tally call with a condition, one x10 site per float
+constant that x10 changes, and a swap that the sweep can undo."""
 
 import ast
 import importlib.util
@@ -63,3 +63,28 @@ def test_always_true_sites_are_the_tally_calls_with_a_condition():
         "tally(True, 'x')\nif c:\n    tally(not d, 'y', e)\nt.tally(f)\ntally()",
         "tally(a == b, 'x')\nif c:\n    tally(True, 'y', e)\nt.tally(f)\ntally()",
     ]
+
+
+FLOAT_SNIPPET = "tol = 1e-10\nx = 0.0 + 2.5 * n - 1\nz = (1j, 1e999, -0.5, 3)\n"
+
+
+def test_float_sites_are_the_float_constants_that_x10_changes():
+    tree = ast.parse(FLOAT_SNIPPET)
+    found = [(line, col, label) for line, col, *_, label in mutate.float_sites(tree)]
+    # neither 0.0 nor inf (1e999), which x10 leaves unchanged, nor a complex or int
+    assert found == [(1, 6, "1e-10 -> 1e-09"), (2, 10, "2.5 -> 25.0"), (3, 17, "0.5 -> 5.0")]
+    original = ast.unparse(tree)
+    mutated = []
+    for _, _, node, field, index, value, _ in mutate.float_sites(tree):
+        old = mutate._swap(node, field, index, value)
+        mutated.append(ast.unparse(tree))
+        mutate._swap(node, field, index, old)
+        assert ast.unparse(tree) == original
+    assert mutated == [
+        "tol = 1e-09\nx = 0.0 + 2.5 * n - 1\nz = (1j, 1e309, -0.5, 3)",
+        "tol = 1e-10\nx = 0.0 + 25.0 * n - 1\nz = (1j, 1e309, -0.5, 3)",
+        "tol = 1e-10\nx = 0.0 + 2.5 * n - 1\nz = (1j, 1e309, -5.0, 3)",
+    ]
+    # the float sites are not among the operator and int sites
+    assert [label for *_, label in mutate.sites(tree)] == ["+ -> -", "* -> //", "- -> +",
+                                                           "1 -> 2", "3 -> 4"]

@@ -16,11 +16,12 @@ from schwinger_su3.basis import (
     traceless_project,
     zw_cofactor,
 )
-from schwinger_su3.operators import OperatorExpr
+from schwinger_su3.operators import OperatorExpr, sp2r_generator
 from schwinger_su3.poly import (
     Polynomial,
     bargmann_inner,
     clear_terms,
+    h0_membership,
     kminus_terms,
     monomial_norm_sq,
     monomials_of_bidegree,
@@ -578,3 +579,18 @@ def test_the_trace_sweep_chain_builds_no_qsqrt3(monkeypatch):
     # the first read of the terms builds them
     f0.terms
     assert len(made) == len(f0.channels()[0].keys() | f0.channels()[1].keys()) > 0
+
+
+# each part of a sum is kept or replaced by its trace-free part, so sums of
+# several bidegrees come both trace-free and not
+mixed_sums = st.lists(st.tuples(bidegree_polys, st.booleans()), min_size=1, max_size=3).map(
+    lambda parts: sum((traceless_project(f) if free else f for f, free in parts),
+                      Polynomial.zero()))
+
+
+@given(st.one_of(mixed_sums, any_polys))
+def test_h0_membership_matches_the_generic_kminus(f):
+    # the reference route: K- as a normal-ordered operator, through apply
+    want = not sp2r_generator("Kminus").apply_real(f)
+    for g in _routes(f):
+        assert h0_membership(g) == want

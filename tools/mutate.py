@@ -23,13 +23,22 @@ cannot fail these by construction, so their one judge is tests/test_mutants.py
 with tests/test_verify.py, fastest first; a survivor is a check that no mutant
 row or test can fail.
 
+A module with float constants, such as the tolerances of verify and numeric,
+also gets the float mutants: each float constant in turn times 10, skipping
+one that x10 leaves unchanged (0.0). A tolerance raised tenfold passes every
+check that the true one passes, so judge 1 cannot fail it; like the
+always-true mutants, their one judge is tests/test_mutants.py with
+tests/test_numeric.py, fastest first; a survivor is a constant that no mutant
+row or test pins.
+
 The result goes to MUTANTS.json at the root of the checkout: per module its
 sites and who killed each, the kill counts of each judge and each survivor's
-line, source and verdict, and the same under "always_true" for those mutants.
-Entries of modules not swept this time are kept, and a survivor keeps the
-verdict and note it had in the file before, matched by mutation and source
-text; a new survivor's verdict is "open". The other verdicts are written by
-hand: "equivalent", "row added", "check added" or "code deleted".
+line, source and verdict, and the same under "always_true" and "float_x10"
+for those mutants. Entries of modules not swept this time are kept, and a
+survivor keeps the verdict and note it had in the file before, matched by
+mutation and source text; a new survivor's verdict is "open", and a survivor
+whose line is gone leaves the table with it. The other verdicts are written
+by hand: "equivalent", "row added" or "check added".
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ SWAPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
 }
 ALWAYS_TRUE_TESTS = ("tests/test_mutants.py", "tests/test_verify.py")
+FLOAT_TESTS = ("tests/test_mutants.py", "tests/test_numeric.py")
 PYTEST = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
 SYMBOLS = {
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
@@ -101,6 +111,17 @@ def tally_sites(tree: ast.Module):
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "tally" and node.args]
+    return sorted(found, key=lambda s: s[:2])
+
+
+def float_sites(tree: ast.Module):
+    """The x10 mutations of tree's float constants, in the form and order of
+    sites; a constant that x10 leaves unchanged, such as 0.0, has none."""
+    found = [(node.lineno, node.col_offset, node, "value", None, node.value * 10,
+              f"{node.value!r} -> {node.value * 10!r}")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and node.value * 10 != node.value]
     return sorted(found, key=lambda s: s[:2])
 
 
@@ -166,13 +187,13 @@ def sweep(module: str, copy: Path, verdicts: dict) -> dict:
     entry = {"lines": len(lines), "mutants": len(outcomes),
              "killed_by_judge_1": kills[0], "killed_by_judge_2": kills[1],
              "survivors": survivors, "sites": outcomes}
-    always_true = tally_sites(tree)
-    if always_true:
-        judges = [("tests", [*PYTEST, "-x", *fastest_first(ALWAYS_TRUE_TESTS, copy)])]
-        outcomes, survivors = _judge(module, copy, tree, lines, always_true, judges, verdicts)
-        entry["always_true"] = {"mutants": len(outcomes),
-                                "killed": len(outcomes) - len(survivors),
-                                "survivors": survivors, "sites": outcomes}
+    for key, todo, files in (("always_true", tally_sites(tree), ALWAYS_TRUE_TESTS),
+                             ("float_x10", float_sites(tree), FLOAT_TESTS)):
+        if todo:
+            judges = [("tests", [*PYTEST, "-x", *fastest_first(files, copy)])]
+            outcomes, survivors = _judge(module, copy, tree, lines, todo, judges, verdicts)
+            entry[key] = {"mutants": len(outcomes), "killed": len(outcomes) - len(survivors),
+                          "survivors": survivors, "sites": outcomes}
     path.write_text(original)
     return entry
 
@@ -220,10 +241,12 @@ def main(argv) -> int:
     doc = json.loads(OUT.read_text()) if OUT.exists() else {"modules": {}}
     verdicts = {(name, s["mutation"], s["source"]): (s["verdict"], s.get("note", ""))
                 for name, entry in doc["modules"].items()
-                for s in entry["survivors"] + entry.get("always_true", {}).get("survivors", [])}
+                for s in entry["survivors"] + [t for key in ("always_true", "float_x10")
+                                               for t in entry.get(key, {}).get("survivors", [])]}
     doc["judges"] = {"1": f"{JUDGE_1}, on the modules it imports",
                      "2": "tests/test_<module>.py, fastest first, on judge 1's survivors",
-                     "always_true": " with ".join(ALWAYS_TRUE_TESTS)}
+                     "always_true": " with ".join(ALWAYS_TRUE_TESTS),
+                     "float_x10": " with ".join(FLOAT_TESTS)}
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
