@@ -2,15 +2,15 @@
 Bargmann polynomials.
 
 Sphere functions reuse the six-exponent monomials with slots 1-3 read as
-xi_1..xi_3 and slots 4-6 as their conjugates.  All integrals are evaluated by
-the exact moment formula
+xi_1..xi_3 and slots 4-6 as their conjugates.  ``sphere_inner_direct``
+integrates term by term with the exact moment formula
 
     integral of prod_j xi_j^(a_j) conj(xi_j)^(b_j)  =  0 unless a = b,
                                                     else prod_j a_j! / (|a|+2)!
 
-obtained by radial reduction of the Gaussian integral against the delta
-constraint; its anchors (total volume 1/2, traceless-channel constant
-1/(p+q+2)!) are pinned in the test suite.
+(radial reduction of the Gaussian integral against the delta constraint), the
+sphere side's one independent route; ``induced_inner_formula``, the tensor
+contraction, is per channel (p, q) ``poly.bargmann_inner`` over (p+q+2)!.
 
 A sphere function holds its bidegree channels, split once when it is made.
 The equivalence map scales channel (p, q) by the irrational sqrt((p+q+2)!),
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .catalog import Record, _set
-from .poly import Polynomial, charge, h0_membership, monomial_norm_sq
+from .poly import Polynomial, bargmann_inner, charge, h0_membership, monomial_norm_sq
 
 Channel = Tuple[int, int]
 
@@ -106,27 +106,17 @@ def _charge_buckets(f: Polynomial) -> Dict[Tuple[int, int, int], list]:
 def induced_inner_formula(phi: SphereFunction, psi: SphereFunction) -> Fraction:
     """(phi, psi) via the traceless tensor-contraction formula, channel by channel.
 
-    Per channel (p, q) the contraction with the p! q!/(p+q+2)! weight reduces,
-    on monomial coefficients, to sum over shared monomials of
-    (product of exponent factorials)/(p+q+2)! times the coefficient product.
+    On monomial coefficients the contraction of channel (p, q) with the
+    p! q!/(p+q+2)! weight is the channel's Bargmann product over (p+q+2)!.
     """
     if not (phi.traceless and psi.traceless):
         raise TraceConditionError("induced inner product formula assumes traceless input")
     total = Fraction(0)
-    for chan, fp in phi.parts.items():
-        gq = psi.parts.get(chan)
-        if gq is None:
-            continue
-        p, q = chan
-        denom = math.factorial(p + q + 2)
-        base = Fraction(0)
-        for m, c1 in fp.terms.items():
-            c2 = gq.terms.get(m)
-            if c2 is None:
-                continue
-            base += (c1 * c2).as_fraction() * Fraction(monomial_norm_sq(m), denom)
+    for chan in phi.parts.keys() & psi.parts.keys():
+        base = bargmann_inner(phi.parts[chan], psi.parts[chan]).as_fraction()
         if base:
-            total += base * _sqrt_exact(phi.scale_sq(chan) * psi.scale_sq(chan))
+            total += base / math.factorial(sum(chan) + 2) * _sqrt_exact(
+                phi.scale_sq(chan) * psi.scale_sq(chan))
     return total
 
 

@@ -68,9 +68,9 @@ def _det(a: Matrix) -> complex:
 
 def _check_su3(a: Matrix) -> None:
     gram = matmul(dagger(a), a)
-    if max(abs(gram[i][j] - (i == j)) for i in range(3) for j in range(3)) > UNITARITY_TOL:
+    if not max_abs(gram[i][j] - (i == j) for i in range(3) for j in range(3)) <= UNITARITY_TOL:
         raise ValueError("matrix is not unitary to tolerance")
-    if abs(_det(a) - 1) > UNITARITY_TOL:
+    if not abs(_det(a) - 1) <= UNITARITY_TOL:
         raise ValueError("matrix determinant is not 1 to tolerance")
 
 

@@ -48,6 +48,9 @@ class OperatorExpr:
     def __setattr__(self, name, value):
         raise AttributeError("OperatorExpr is immutable")
 
+    def __reduce__(self):
+        return OperatorExpr, (self.terms,)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

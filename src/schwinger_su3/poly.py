@@ -83,6 +83,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return rebuild_polynomial, self.channels()
+
     def __getattr__(self, name):
         # only an unset slot gets here: ``terms`` of a rebuilt polynomial, built
         # once, each part an ``int`` where it is integral, else a ``Fraction``

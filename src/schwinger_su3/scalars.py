@@ -74,6 +74,9 @@ class _QuadraticExtension:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.a, self.b)
+
     @classmethod
     def coerce(cls, x):
         if isinstance(x, cls):

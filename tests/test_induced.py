@@ -14,7 +14,12 @@ from schwinger_su3.induced import (
     sphere_inner_direct,
     sphere_monomial_integral,
 )
-from schwinger_su3.poly import Polynomial, bargmann_inner, monomials_of_bidegree
+from schwinger_su3.poly import (
+    Polynomial,
+    bargmann_inner,
+    monomials_of_bidegree,
+    rebuild_polynomial,
+)
 
 XI1 = Polynomial.variable(1)
 XI2 = Polynomial.variable(2)
@@ -127,6 +132,40 @@ def test_isometry_single_and_mixed_channels():
             exact = bargmann_inner(f, g).as_fraction()
             assert sphere_inner_direct(images[i], images[j]) == exact
             assert induced_inner_formula(images[i], images[j]) == exact
+
+
+def _random_trace_free_mix(rng):
+    """A trace-free polynomial on two or three channels with p, q <= 3, each
+    channel drawn as integers over one denominator and built by
+    rebuild_polynomial, then projected."""
+    chans = rng.sample([(p, q) for p in range(4) for q in range(4)], rng.randint(2, 3))
+    f = Polynomial.zero()
+    for p, q in chans:
+        numerators = {m: rng.randint(-6, 6) for m in monomials_of_bidegree(p, q)}
+        f = f + traceless_project(rebuild_polynomial(numerators, {}, rng.randint(1, 12)))
+    return f
+
+
+def test_formula_matches_the_sphere_integral_across_channels():
+    # the formula is the Bargmann product per channel; the sphere integral is
+    # the independent route, on inputs stored as channels and as term dicts
+    rng = random.Random(33)
+    mixes = [_random_trace_free_mix(rng) for _ in range(4)]
+    pool = [g for f in mixes for g in (f, Polynomial(dict(f.terms)))]
+    assert all(len(f.bidegree_split()) >= 2 for f in pool)
+    plain = [make_sphere_function(f) for f in pool]
+    images = [equivalence_map(f) for f in pool]
+    assert all(sf.traceless for sf in plain)
+    nonzero = 0
+    for i, f in enumerate(pool):
+        for j, g in enumerate(pool):
+            value = induced_inner_formula(plain[i], plain[j])
+            assert value == sphere_inner_direct(plain[i], plain[j])
+            exact = bargmann_inner(f, g).as_fraction()
+            assert induced_inner_formula(images[i], images[j]) == exact
+            assert sphere_inner_direct(images[i], images[j]) == exact
+            nonzero += value != 0
+    assert nonzero > len(pool)
 
 
 def test_cross_bidegree_orthogonality():

@@ -151,6 +151,10 @@ def test_su3_check_refuses_a_matrix_off_the_group():
         numeric._check_su3(((2 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j)))
     with pytest.raises(ValueError, match="determinant"):
         numeric._check_su3(((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, -1 + 0j)))
+    # a NaN defect compares False with the tolerance either way round
+    for nan in (math.nan, complex(math.nan, 0), complex(0, math.nan)):
+        with pytest.raises(ValueError, match="not unitary"):
+            numeric._check_su3(((nan, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j)))
     numeric._check_su3(IDENTITY)
 
 

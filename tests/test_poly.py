@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from schwinger_su3.basis import (
     traceless_project,
     zw_cofactor,
 )
+from schwinger_su3.induced import equivalence_map, make_sphere_function
 from schwinger_su3.operators import OperatorExpr, sp2r_generator
 from schwinger_su3.poly import (
     Polynomial,
@@ -304,6 +306,28 @@ def test_polynomials_are_immutable_and_unequal_to_scalars():
     with pytest.raises(AttributeError):
         Z1.terms = {}
     assert (Z1 == 3) is False
+
+
+def test_exact_values_survive_pickle_and_copy():
+    key = list(enumerate_basis_keys(2))[-1]
+    rebuilt = rebuild_polynomial({(1, 0, 0, 0, 1, 0): 3, (0, 0, 1, 0, 0, 0): -4},
+                                 {(0, 0, 1, 0, 0, 0): 1}, 6)
+    values = [
+        Z1,
+        rebuilt,
+        Polynomial.zero(),
+        basis_state(key),
+        make_sphere_function(rebuilt + ZW),
+        equivalence_map(Z1 * Polynomial.variable(5) + Polynomial.variable(3).scale(Qsqrt3(0, 1))),
+        sp2r_generator("Kminus"),
+        sp2r_generator("K2"),  # imaginary coefficients
+        Qsqrt3(Fraction(1, 2), 1),
+    ]
+    for x in values:
+        copies = [pickle.loads(pickle.dumps(x, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in (*copies, copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x, x
 
 
 def test_product_reads_the_field_constant_at_call_time(monkeypatch):
