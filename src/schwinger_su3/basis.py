@@ -42,7 +42,7 @@ from .scalars import RatLike
 @lru_cache(maxsize=None)
 def _generator(name: str):
     """K-, K+, J0 or J- (by ``operators`` name), built on first use, so that
-    trace removal alone never loads ``operators``."""
+    ``basis_state`` at M = I, which applies no J-, never loads ``operators``."""
     from .operators import sp2r_generator, su2_ladder
 
     return su2_ladder(name) if name == "Jminus" else sp2r_generator(name)

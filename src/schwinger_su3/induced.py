@@ -11,6 +11,7 @@ integrates term by term with the exact moment formula
 (radial reduction of the Gaussian integral against the delta constraint), the
 sphere side's one independent route; ``induced_inner_formula``, the tensor
 contraction, is per channel (p, q) ``poly.bargmann_inner`` over (p+q+2)!.
+Both sum each channel pair exactly in Q(sqrt 3), and that sum must be rational.
 
 A sphere function holds its bidegree channels, split once when it is made.
 The equivalence map scales channel (p, q) by the irrational sqrt((p+q+2)!),
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .catalog import Record, _set
-from .poly import Polynomial, bargmann_inner, charge, h0_membership, monomial_norm_sq
+from .poly import _QZERO, Polynomial, bargmann_inner, charge, h0_membership, monomial_norm_sq
 
 Channel = Tuple[int, int]
 
@@ -76,31 +77,28 @@ def sphere_inner_direct(phi: SphereFunction, psi: SphereFunction) -> Fraction:
     Conjugation swaps the holomorphic and antiholomorphic exponent triples.
     The moment of a term pair vanishes unless both terms carry the same
     U(1)^3 charge a - b, so each term of phi visits only the terms of psi
-    with its own charge.
+    with its own charge.  Each channel pair's sum is exact in Q(sqrt 3) and,
+    as in the formula, must be rational.
     """
+    psi_buckets = {}
+    for cq, gq in psi.parts.items():
+        buckets = psi_buckets[cq] = {}
+        for m, c in gq.terms.items():
+            buckets.setdefault(charge(m), []).append((m[:3], m[3:], c))
     total = Fraction(0)
-    psi_buckets = {cq: _charge_buckets(gq) for cq, gq in psi.parts.items()}
     for cp, fp in phi.parts.items():
         for cq, buckets in psi_buckets.items():
-            base = Fraction(0)
+            base = _QZERO
             for m1, c1 in fp.terms.items():
                 a1, b1 = m1[:3], m1[3:]
                 for a2, b2, c2 in buckets.get(charge(m1), ()):
                     # conj(phi) term xi^b1 xi*^a1 times psi term xi^a2 xi*^b2
                     holo = tuple(x + y for x, y in zip(b1, a2))
                     anti = tuple(x + y for x, y in zip(a1, b2))
-                    base += (c1 * c2).as_fraction() * sphere_monomial_integral(holo, anti)
+                    base += c1 * c2 * sphere_monomial_integral(holo, anti)
             if base:
-                total += base * _sqrt_exact(phi.scale_sq(cp) * psi.scale_sq(cq))
+                total += base.as_fraction() * _sqrt_exact(phi.scale_sq(cp) * psi.scale_sq(cq))
     return total
-
-
-def _charge_buckets(f: Polynomial) -> Dict[Tuple[int, int, int], list]:
-    """The terms of f as (a, b, coefficient), grouped by charge."""
-    buckets: Dict[Tuple[int, int, int], list] = {}
-    for m, c in f.terms.items():
-        buckets.setdefault(charge(m), []).append((m[:3], m[3:], c))
-    return buckets
 
 
 def induced_inner_formula(phi: SphereFunction, psi: SphereFunction) -> Fraction:

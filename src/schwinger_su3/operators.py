@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _nonzero
 from .scalars import CScalar, Qsqrt3, INV_SQRT3, ratio
 
 # a normal-ordered term z^alpha d^beta with six-exponent tuples alpha, beta
@@ -66,7 +66,7 @@ class OperatorExpr:
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            _accum(out, key, c)
+            out[key] = out[key] + c if key in out else c
         return OperatorExpr(out)
 
     def __neg__(self) -> "OperatorExpr":
@@ -114,12 +114,13 @@ class OperatorExpr:
                 if not fall:
                     continue
                 target = tuple(e - b + a for e, b, a in zip(m, beta, alpha))
-                base = c * fall
                 if coeff.re:
-                    _accum(re, target, coeff.re * base)
+                    v = coeff.re * (c * fall)
+                    re[target] = re[target] + v if target in re else v
                 if coeff.im:
-                    _accum(im, target, coeff.im * base)
-        return Polynomial._of(re), Polynomial._of(im)
+                    v = coeff.im * (c * fall)
+                    im[target] = im[target] + v if target in im else v
+        return Polynomial._of(_nonzero(re)), Polynomial._of(_nonzero(im))
 
     def apply_real(self, f: Polynomial) -> Polynomial:
         """Apply an operator known to be real; errors if an imaginary part appears."""
@@ -130,15 +131,6 @@ class OperatorExpr:
 
     def __repr__(self) -> str:
         return f"OperatorExpr({len(self.terms)} terms)"
-
-
-def _accum(d: Dict, m, v) -> None:
-    s = d.get(m)
-    s = v if s is None else s + v
-    if s:
-        d[m] = s
-    else:
-        d.pop(m, None)
 
 
 def _unit(*modes: int) -> Tuple[int, ...]:

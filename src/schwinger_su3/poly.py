@@ -198,9 +198,9 @@ class Polynomial:
 
     def bidegree(self) -> Tuple[int, int] | None:
         """(z-degree, w-degree) if bihomogeneous, else None.  Zero -> None."""
-        cleared = self._cleared
+        rat, surd, _ = self.channels()
         deg = None
-        for m in self.terms if cleared is None else (*cleared[0], *cleared[1]):
+        for m in (*rat, *surd):
             d = (m[0] + m[1] + m[2], m[3] + m[4] + m[5])
             if deg is None:
                 deg = d

@@ -20,6 +20,7 @@ from schwinger_su3.poly import (
     monomials_of_bidegree,
     rebuild_polynomial,
 )
+from schwinger_su3.scalars import Qsqrt3
 
 XI1 = Polynomial.variable(1)
 XI2 = Polynomial.variable(2)
@@ -166,6 +167,23 @@ def test_formula_matches_the_sphere_integral_across_channels():
             assert sphere_inner_direct(images[i], images[j]) == exact
             nonzero += value != 0
     assert nonzero > len(pool)
+
+
+def test_both_routes_sum_a_channel_pair_before_they_read_it_as_rational():
+    # trace-free pairs with sqrt 3 parts: each term pair is irrational, and
+    # the channel's sum is 0 on the first pair and sqrt(3)/24 on the second
+    root3 = Qsqrt3(0, 1)
+    z1w2, z2w1 = (1, 0, 0, 0, 1, 0), (0, 1, 0, 1, 0, 0)
+    phi = make_sphere_function(Polynomial({z1w2: 1, z2w1: root3}))
+    psi = make_sphere_function(Polynomial({z1w2: root3, z2w1: -1}))
+    assert phi.traceless and psi.traceless
+    assert sphere_inner_direct(phi, psi) == 0 == induced_inner_formula(phi, psi)
+    assert sphere_inner_direct(psi, phi) == 0 == induced_inner_formula(psi, phi)
+    one = make_sphere_function(Polynomial({z1w2: 1}))
+    root = make_sphere_function(Polynomial({z1w2: root3}))
+    for route in (sphere_inner_direct, induced_inner_formula):
+        with pytest.raises(ValueError, match="irrational part"):
+            route(one, root)
 
 
 def test_cross_bidegree_orthogonality():

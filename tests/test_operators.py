@@ -382,6 +382,30 @@ def test_commutator_defect_matches_the_cscalar_route():
                 assert len(dict(got)) == len(got)
 
 
+def test_apply_is_the_multiplication_terms_of_compose():
+    # op(f) read off op . M_f, M_f the multiplication operator by f: its
+    # derivative-free terms, split into real and imaginary parts, by the
+    # channel kernel of compose against the Qsqrt3 terms of apply
+    rng = random.Random(34)
+    polys = [Polynomial({m: Qsqrt3(Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                                   Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+                         for m in monomials_of_bidegree(p, q)})
+             for p, q in ((1, 1), (2, 1), (0, 2), (2, 2))]
+    # trace-free, so K- cancels term against term
+    polys.append((Z1 * W1 - Z2 * W2).scale(Qsqrt3(Fraction(1, 2), Fraction(-2, 3))))
+    for op in _kernel_operands():
+        for f in polys:
+            product = op.compose(OperatorExpr({(m, _ZEROS): c for m, c in f.terms.items()}))
+            lowered = {alpha: c for (alpha, beta), c in product.normal_form().items()
+                       if beta == _ZEROS}
+            re, im = op.apply(f)
+            assert re == Polynomial({m: c.re for m, c in lowered.items()})
+            assert im == Polynomial({m: c.im for m, c in lowered.items()})
+            assert all(re.terms.values()) and all(im.terms.values())
+    kminus = sp2r_generator("Kminus").scale(_ODD)
+    assert kminus.apply(polys[-1]) == (Polynomial.zero(), Polynomial.zero())
+
+
 def test_apply_real_rejects_imaginary_output():
     q2 = su3_generator(2, "a")  # lambda_2 has imaginary entries
     with pytest.raises(ValueError):
