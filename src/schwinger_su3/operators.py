@@ -5,7 +5,14 @@ z^alpha d^beta (every multiplication left of every derivative), stored as the
 map (alpha, beta) -> coefficient.  That map is canonical, so operator equality
 is map equality; products are brought back to normal order as they are formed,
 by moving derivatives through multiplications with the multi-mode Leibniz
-rule, so no other representation is ever held.
+rule, so no other ordering is ever held.
+
+The map has up to two forms, each built once and only when read: the
+``CScalar`` term dict ``terms``, and the reduced integer ``channels``, four
+``int``s per key over one positive denominator, on which +, -, ``scale``,
+products, commutators and ``==`` run.  A generator from the constructor stores
+its terms and clears them on first algebra use; an algebra result stores only
+its channels until ``terms`` is read (``normal_form``, ``apply``, pickling).
 
 Applied to a real polynomial an operator yields a (real, imaginary) pair of
 polynomials; polynomial storage never leaves Q(sqrt 3).
@@ -24,17 +31,20 @@ from .scalars import CScalar, Qsqrt3, INV_SQRT3, ratio
 
 # a normal-ordered term z^alpha d^beta with six-exponent tuples alpha, beta
 NormalKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
+# (L, key -> (c0, c1, c2, c3)): the coefficient of each key is
+# ((c0 + c1 sqrt 3) + i (c2 + c3 sqrt 3)) / L
+Channels = Tuple[int, Dict[NormalKey, Tuple[int, int, int, int]]]
 
 _ZEROS = (0, 0, 0, 0, 0, 0)
 
 
 class OperatorExpr:
-    """Normal-ordered map z^alpha d^beta -> nonzero CScalar coefficient.
+    """Normal-ordered map z^alpha d^beta -> nonzero CScalar coefficient, in the
+    two forms of the module docstring; an algebra result leaves the ``terms``
+    slot unset until its first read.  ``terms`` is internal and never mutated;
+    callers read the map through ``normal_form()``, which returns a copy."""
 
-    ``terms`` is internal and never mutated; callers read the map through
-    ``normal_form()``, which returns a copy."""
-
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_cleared")
 
     def __init__(self, terms: Dict[NormalKey, CScalar] | None = None):
         clean: Dict[NormalKey, CScalar] = {}
@@ -44,12 +54,33 @@ class OperatorExpr:
                 if c:
                     clean[key] = c
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorExpr is immutable")
 
     def __reduce__(self):
         return OperatorExpr, (self.terms,)
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: ``terms`` of an algebra result, built once
+        if name != "terms":
+            raise AttributeError(name)
+        terms = _scalars(*self._cleared)
+        object.__setattr__(self, "terms", terms)
+        return terms
+
+    def channels(self) -> Channels:
+        """(L, key -> L * (re.rat, re.surd, im.rat, im.surd)), L the lcm of every
+        part's denominator, so reduced; cleared once, shared, never mutated."""
+        if self._cleared is None:
+            parts = {key: (c.re.rat, c.re.surd, c.im.rat, c.im.surd)
+                     for key, c in self.terms.items()}
+            den = math.lcm(*(x.denominator for xs in parts.values() for x in xs))
+            object.__setattr__(self, "_cleared", (den, {
+                key: tuple(x.numerator * (den // x.denominator) for x in xs)
+                for key, xs in parts.items()}))
+        return self._cleared
 
     # -- constructors ------------------------------------------------------
 
@@ -64,32 +95,28 @@ class OperatorExpr:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return OperatorExpr(out)
-
-    def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr({key: -c for key, c in self.terms.items()})
+        return _reduced(*_channel_sum(self.channels(), other.channels(), 1))
 
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self + (-other)
+        return _reduced(*_channel_sum(self.channels(), other.channels(), -1))
+
+    def __neg__(self) -> "OperatorExpr":
+        return OperatorExpr() - self
 
     def scale(self, coeff) -> "OperatorExpr":
-        coeff = CScalar.coerce(coeff)
-        return OperatorExpr({key: coeff * c for key, c in self.terms.items()})
+        """coeff times self: the product with coeff times the identity."""
+        return self.compose(OperatorExpr.identity(coeff))
 
     def compose(self, other: "OperatorExpr") -> "OperatorExpr":
         """self applied after other (operator product self . other), normal ordered:
         (z^a d^b)(z^g d^e) = sum over k <= min(b, g) of w_k z^(a+g-k) d^(b-k+e),
         with the weights w_k of ``_contractions``."""
-        (den_a, a), (den_b, b) = _channels(self), _channels(other)
-        return OperatorExpr(_scalars(den_a * den_b, _product_into({}, a, b, 1)))
+        (den_a, a), (den_b, b) = self.channels(), other.channels()
+        return _reduced(den_a * den_b, _product_into({}, a, b, 1))
 
     def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
-        (den_a, a), (den_b, b) = _channels(self), _channels(other)
-        out = _product_into(_product_into({}, a, b, 1), b, a, -1)
-        return OperatorExpr(_scalars(den_a * den_b, out))
+        (den_a, a), (den_b, b) = self.channels(), other.channels()
+        return _reduced(den_a * den_b, _product_into(_product_into({}, a, b, 1), b, a, -1))
 
     def normal_form(self) -> Dict[NormalKey, CScalar]:
         """Canonical form, all multiplications left of all derivatives: a copy of
@@ -99,7 +126,7 @@ class OperatorExpr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
-        return self.terms == other.terms
+        return self.channels() == other.channels()
 
     # -- application -----------------------------------------------------------
 
@@ -130,9 +157,11 @@ class OperatorExpr:
         return re
 
     def __repr__(self) -> str:
-        return f"OperatorExpr({len(self.terms)} terms)"
+        terms = self.terms if self._cleared is None else self._cleared[1]
+        return f"OperatorExpr({len(terms)} terms)"
 
 
+@lru_cache(maxsize=None)
 def _unit(*modes: int) -> Tuple[int, ...]:
     """The exponent tuple with a 1 at each 0-based mode of modes."""
     return tuple(int(j in modes) for j in range(6))
@@ -141,46 +170,71 @@ def _unit(*modes: int) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _contractions(
     b: Tuple[int, ...], g: Tuple[int, ...]
-) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Each k <= min(b, g) with its weight prod_j C(b_j, k_j) g_j!/(g_j - k_j)!:
-    the number of ways d^b, moved right through z^g, spends k_j derivatives
-    on each z_j^(g_j)."""
+) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
+    """(g - k, b - k, w) for each k <= min(b, g), with the weight
+    w = prod_j C(b_j, k_j) g_j!/(g_j - k_j)!: the number of ways d^b, moved
+    right through z^g, spends k_j derivatives on each z_j^(g_j)."""
     per_mode = [
         [(k, math.comb(x, k) * math.perm(y, k)) for k in range(min(x, y) + 1)]
         for x, y in zip(b, g)
     ]
-    return tuple((tuple(k for k, _ in choice), math.prod(w for _, w in choice))
+    return tuple((tuple(y - k for y, (k, _) in zip(g, choice)),
+                  tuple(x - k for x, (k, _) in zip(b, choice)),
+                  math.prod(w for _, w in choice))
                  for choice in itertools.product(*per_mode))
 
 
-def _channels(op: OperatorExpr) -> Tuple[int, Dict[NormalKey, Tuple[int, ...]]]:
-    """(L, key -> L * (re.rat, re.surd, im.rat, im.surd)): the coefficients as
-    four integer channels over L, the lcm of every part's denominator."""
-    parts = {key: (c.re.rat, c.re.surd, c.im.rat, c.im.surd) for key, c in op.terms.items()}
-    den = math.lcm(*(x.denominator for xs in parts.values() for x in xs))
-    return den, {key: tuple(x.numerator * (den // x.denominator) for x in xs)
-                 for key, xs in parts.items()}
-
-
 def _product_into(out: Dict, a: Dict, b: Dict, sign: int) -> Dict:
-    """Add sign * (a . b) to the channel map out, by ``compose``'s rule.  The
-    channels (c0, c1, c2, c3) stand for (c0 + c1 u) + i (c2 + c3 u), multiplied
-    with u*u = ``Qsqrt3.SQUARE`` and i*i = ``CScalar.SQUARE``, read on each call."""
+    """Add sign * (a . b) to the channel map out, by ``compose``'s rule, as
+    lists of four sums.  The channels (c0, c1, c2, c3) stand for (c0 + c1 u) + i (c2 + c3 u),
+    multiplied with u*u = ``Qsqrt3.SQUARE`` and i*i = ``CScalar.SQUARE``, read
+    on each call."""
     s, t = Qsqrt3.SQUARE, CScalar.SQUARE
-    for (al, be), (p, q, r, v) in a.items():
+    get = out.get
+    for ((a1, a2, a3, a4, a5, a6), be), (p, q, r, v) in a.items():
         p, q, r, v = sign * p, sign * q, sign * r, sign * v
-        for (ga, ep), (w, x, y, z) in b.items():
-            c = (p * w + s * q * x + t * (r * y + s * v * z),
-                 p * x + q * w + t * (r * z + v * y),
-                 p * y + s * q * z + r * w + s * v * x,
-                 p * z + q * y + r * x + v * w)
-            for k, n in _contractions(be, ga):
-                key = (tuple(e + f - h for e, f, h in zip(al, ga, k)),
-                       tuple(e - h + f for e, h, f in zip(be, k, ep)))
-                acc = out.setdefault(key, [0, 0, 0, 0])
-                for j in range(4):
-                    acc[j] += n * c[j]
+        for (ga, (e1, e2, e3, e4, e5, e6)), (w, x, y, z) in b.items():
+            c0 = p * w + s * q * x + t * (r * y + s * v * z)
+            c1 = p * x + q * w + t * (r * z + v * y)
+            c2 = p * y + s * q * z + r * w + s * v * x
+            c3 = p * z + q * y + r * x + v * w
+            for (g1, g2, g3, g4, g5, g6), (b1, b2, b3, b4, b5, b6), n in _contractions(be, ga):
+                key = ((a1 + g1, a2 + g2, a3 + g3, a4 + g4, a5 + g5, a6 + g6),
+                       (b1 + e1, b2 + e2, b3 + e3, b4 + e4, b5 + e5, b6 + e6))
+                acc = get(key)
+                if acc is None:
+                    out[key] = [n * c0, n * c1, n * c2, n * c3]
+                else:
+                    acc[0] += n * c0
+                    acc[1] += n * c1
+                    acc[2] += n * c2
+                    acc[3] += n * c3
     return out
+
+
+def _channel_sum(x: Channels, y: Channels, sign: int) -> Tuple[int, Dict]:
+    """x + sign * y on channel maps, over the lcm of their denominators; zero
+    sums kept."""
+    (den_x, a), (den_y, b) = x, y
+    den = math.lcm(den_x, den_y)
+    ka, kb = den // den_x, sign * (den // den_y)
+    out = {key: (ka * p, ka * q, ka * r, ka * v) for key, (p, q, r, v) in a.items()}
+    get = out.get
+    for key, (p, q, r, v) in b.items():
+        w, x, y, z = get(key, (0, 0, 0, 0))
+        out[key] = (w + kb * p, x + kb * q, y + kb * r, z + kb * v)
+    return den, out
+
+
+def _reduced(den: int, out: Dict) -> OperatorExpr:
+    """The operator of the channel map out over den, storing its channels
+    reduced: zero keys dropped, and the channels and den divided by their gcd."""
+    out = {key: c for key, c in out.items() if c[0] or c[1] or c[2] or c[3]}
+    g = math.gcd(den, *(x for c in out.values() for x in c))
+    op = OperatorExpr.__new__(OperatorExpr)
+    object.__setattr__(op, "_cleared", (den // g, {
+        key: (w // g, x // g, y // g, z // g) for key, (w, x, y, z) in out.items()}))
+    return op
 
 
 def _scalars(den: int, out: Dict) -> Dict[NormalKey, CScalar]:
@@ -330,5 +384,6 @@ def commutator_defect(
     """
     if basis_degree < 0:
         raise ValueError("basis_degree must be nonnegative")
-    defect = X.commutator(Y) - Z_expected
-    return [(key, c) for key, c in defect.terms.items() if sum(key[1]) <= basis_degree]
+    den, out = _channel_sum(X.commutator(Y).channels(), Z_expected.channels(), -1)
+    return list(_scalars(den, {key: c for key, c in out.items()
+                               if sum(key[1]) <= basis_degree}).items())

@@ -423,17 +423,21 @@ def suite_equivalence_isometry(samples: int, max_each: int, seed: int) -> Dict:
 def suite_cn_dual_route() -> Dict:
     """The closed-form C_n of ``cn_coeffs`` against the recursion
     n (r+s+n+1) C_n = -(p-r-n+1) (q-s-n+1) C_{n-1}, C_0 = 1: one check per
-    (p, q, r, s) with p, q <= CN_BOUND."""
+    (p, q, r, s) with p, q <= CN_BOUND. The recursion runs on a numerator and
+    a positive denominator, and each C_n is compared by cross-multiplying."""
     tally = _Tally()
     for p in range(CN_BOUND + 1):
         for q in range(CN_BOUND + 1):
             for r in range(p + 1):
                 for s in range(q + 1):
-                    rec = [Fraction(1)]
-                    for n in range(1, min(p - r, q - s) + 1):
-                        rec.append(rec[-1] * Fraction(-(p - r - n + 1) * (q - s - n + 1),
-                                                      n * (r + s + n + 1)))
-                    tally(cn_coeffs(p, q, r, s) == rec, p, q, r, s)
+                    cn = cn_coeffs(p, q, r, s)
+                    ok = len(cn) == min(p - r, q - s) + 1 and cn[0] == 1
+                    num = den = 1
+                    for n, c in enumerate(cn[1:], 1):
+                        num *= -(p - r - n + 1) * (q - s - n + 1)
+                        den *= n * (r + s + n + 1)
+                        ok = ok and c.numerator * den == num * c.denominator
+                    tally(ok, p, q, r, s)
     return tally.result("cn_dual_route", max_each=CN_BOUND)
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwinger_su3.operators import (
     OperatorExpr,
@@ -354,6 +356,131 @@ def test_compose_matches_the_cscalar_route():
         for y in ops[::3]:
             assert x.compose(y).normal_form() == _compose_reference(x, y)
             assert y.compose(x).normal_form() == _compose_reference(y, x)
+
+
+# the CScalar route of the linear structure, term by term: the second route
+# against the integer channels of +, -, unary -, scale, compose and commutator
+
+
+def _add_reference(x, y):
+    out = x.normal_form()
+    for key, c in y.normal_form().items():
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def _neg_reference(x):
+    return {key: -c for key, c in x.normal_form().items()}
+
+
+def _scale_reference(x, coeff):
+    coeff = CScalar.coerce(coeff)
+    return {key: coeff * c for key, c in x.normal_form().items() if coeff * c}
+
+
+def _commutator_reference(x, y):
+    out = _compose_reference(x, y)
+    for key, c in _compose_reference(y, x).items():
+        out[key] = out.get(key, 0) - c
+    return {key: c for key, c in out.items() if c}
+
+
+def _routes(x):
+    """x from the constructor, which stores its terms, and as an algebra
+    result, which stores its channels only."""
+    return OperatorExpr(x.normal_form()), OperatorExpr.zero() + x
+
+
+def _terms_built(op):
+    """Whether op holds its term dict, read through the slot itself, which
+    ``OperatorExpr.__getattr__`` never reaches, so the read builds nothing."""
+    try:
+        OperatorExpr.__dict__["terms"].__get__(op)
+    except AttributeError:
+        return False
+    return True
+
+
+def _assert_reduced(op):
+    """op stores only its channels, reduced, and they clear its own terms."""
+    assert not _terms_built(op)
+    den, channels = op._cleared
+    assert den > 0 and math.gcd(den, *(x for c in channels.values() for x in c)) == 1
+    assert all(type(c) is tuple and len(c) == 4 and any(c) for c in channels.values())
+    assert all(type(x) is int for c in channels.values() for x in c)
+    assert op._cleared == OperatorExpr(op.normal_form()).channels()
+
+
+_OPERANDS = _kernel_operands()
+_parts = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_cscalars = st.one_of(st.just(_ODD), st.builds(
+    lambda a, b, c, d: CScalar(Qsqrt3(a, b), Qsqrt3(c, d)), _parts, _parts, _parts, _parts))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_OPERANDS), st.sampled_from(_OPERANDS), _cscalars)
+def test_channel_algebra_matches_the_cscalar_route(x, y, c):
+    want = {"+": _add_reference(x, y), "-": _add_reference(x, OperatorExpr(_neg_reference(y))),
+            "neg": _neg_reference(x), "scale": _scale_reference(x, c),
+            "compose": _compose_reference(x, y), "commutator": _commutator_reference(x, y)}
+    for a in _routes(x):
+        for b in _routes(y):
+            got = {"+": a + b, "-": a - b, "neg": -a, "scale": a.scale(c),
+                   "compose": a.compose(b), "commutator": a.commutator(b)}
+            for name, op in got.items():
+                _assert_reduced(op)
+                assert op.normal_form() == want[name], name
+                assert op == OperatorExpr(want[name]) and OperatorExpr(want[name]) == op, name
+            assert (a == b) == (b == a) == (x.normal_form() == y.normal_form())
+    assert not (x - x).normal_form() and (x - x) == OperatorExpr.zero()
+    assert x.scale(0) == OperatorExpr.zero()
+
+
+def test_an_algebra_result_holds_only_its_channels_until_terms_are_read():
+    op = sp2r_generator("Kplus").commutator(sp2r_generator("Kminus"))  # -2 J0
+    # -(N_a + N_b + 3): six number terms and the constant
+    want = {((0,) * 6, (0,) * 6): CScalar(-3)}
+    want.update(((m, m), CScalar(-1)) for m in (tuple(int(i == j) for i in range(6))
+                                                 for j in range(6)))
+    assert op._cleared == (1, {key: (c.re.rat, 0, 0, 0) for key, c in want.items()})
+    assert repr(op) == "OperatorExpr(7 terms)" and not _terms_built(op)
+    with pytest.raises(AttributeError):
+        op.terms = {}
+    with pytest.raises(AttributeError):
+        op.coefficients
+    assert not _terms_built(op)
+    form = op.normal_form()
+    assert form == want and _terms_built(op) and op.terms is op.terms
+    form[((0,) * 6, (0,) * 6)] = CScalar(5)
+    assert op.normal_form() == want
+    with pytest.raises(AttributeError):
+        op.terms = {}
+    with pytest.raises(AttributeError):
+        op._cleared = None
+    assert repr(op) == "OperatorExpr(7 terms)"
+
+
+def test_equality_across_the_constructor_and_the_algebra():
+    j0 = sp2r_generator("J0")  # (N_a + N_b + 3) / 2, built by + and scale
+    n_terms = {(m, m): Fraction(1, 2) for m in (tuple(int(i == j) for i in range(6))
+                                                for j in range(6))}
+    built = OperatorExpr({**n_terms, ((0,) * 6, (0,) * 6): Fraction(3, 2)})
+    assert not _terms_built(j0) and built._cleared is None
+    assert j0 == built and built == j0
+    assert built.channels() == j0.channels() == (2, {key: (n, 0, 0, 0) for key, n in
+                                                     [*((k, 1) for k in n_terms),
+                                                      (((0,) * 6, (0,) * 6), 3)]})
+    assert j0 != built.scale(2) and built.scale(2) != j0
+    assert j0 != OperatorExpr(n_terms) and OperatorExpr(n_terms) != j0
+    # a sum whose denominators cancel equals its reduced constructor form
+    half = OperatorExpr.identity(Fraction(1, 2))
+    assert half + half == OperatorExpr.identity() == half.scale(2)
+    assert (half + half).channels() == (1, {((0,) * 6, (0,) * 6): (1, 0, 0, 0)})
+    # i and sqrt 3 parts: K2 from its constructor terms, and word equality
+    k2 = sp2r_generator("K2")
+    assert OperatorExpr(k2.normal_form()) == k2 != k2.scale(CScalar(0, 1))
+    assert word(((DIFF, 0), (MUL, 0))).scale(_ODD) == OperatorExpr(
+        {key: _ODD * c for key, c in word(((DIFF, 0), (MUL, 0))).normal_form().items()})
 
 
 def test_commutator_defect_matches_the_cscalar_route():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schwinger_su3 import basis
 from schwinger_su3.basis import (
     ZW,
     basis_state,
@@ -321,6 +322,10 @@ def test_exact_values_survive_pickle_and_copy():
         equivalence_map(Z1 * Polynomial.variable(5) + Polynomial.variable(3).scale(Qsqrt3(0, 1))),
         sp2r_generator("Kminus"),
         sp2r_generator("K2"),  # imaginary coefficients
+        # an algebra result, which stores only its channels, and the cached
+        # sp(2,R) Casimir
+        sp2r_generator("Kplus").commutator(sp2r_generator("Kminus")),
+        basis._casimir(),
         Qsqrt3(Fraction(1, 2), 1),
     ]
     for x in values:
