@@ -95,9 +95,13 @@ class OperatorExpr:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
+        if not isinstance(other, OperatorExpr):
+            return NotImplemented
         return _reduced(*_channel_sum(self.channels(), other.channels(), 1))
 
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
+        if not isinstance(other, OperatorExpr):
+            return NotImplemented
         return _reduced(*_channel_sum(self.channels(), other.channels(), -1))
 
     def __neg__(self) -> "OperatorExpr":
@@ -111,11 +115,11 @@ class OperatorExpr:
         """self applied after other (operator product self . other), normal ordered:
         (z^a d^b)(z^g d^e) = sum over k <= min(b, g) of w_k z^(a+g-k) d^(b-k+e),
         with the weights w_k of ``_contractions``."""
-        (den_a, a), (den_b, b) = self.channels(), other.channels()
+        (den_a, a), (den_b, b) = self.channels(), _operand(other).channels()
         return _reduced(den_a * den_b, _product_into({}, a, b, 1))
 
     def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
-        (den_a, a), (den_b, b) = self.channels(), other.channels()
+        (den_a, a), (den_b, b) = self.channels(), _operand(other).channels()
         return _reduced(den_a * den_b, _product_into(_product_into({}, a, b, 1), b, a, -1))
 
     def normal_form(self) -> Dict[NormalKey, CScalar]:
@@ -159,6 +163,13 @@ class OperatorExpr:
     def __repr__(self) -> str:
         terms = self.terms if self._cleared is None else self._cleared[1]
         return f"OperatorExpr({len(terms)} terms)"
+
+
+def _operand(x) -> OperatorExpr:
+    """x, the other operand of a product; any other type is a TypeError."""
+    if not isinstance(x, OperatorExpr):
+        raise TypeError(f"expected an OperatorExpr operand, got {type(x).__name__}")
+    return x
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,9 @@ base field, and share one arithmetic (``_QuadraticExtension``):
 Since sqrt 3 only enters through lambda_8 and i only through lambda_2,
 lambda_5, lambda_7 and K2, nearly every value has b = 0: negation and
 multiplication (also by an ``int``) then take a fast path that does one
-base-field operation instead of four.  Addition has none; it does two either
-way, and subtraction adds the negated operand.  An operand that cannot be
+base-field operation instead of four; subtraction adds the negated operand.
+An operand of exactly the left operand's type goes straight to the
+arithmetic of +, * and ==; any other is coerced first, and one that cannot be
 coerced into the left operand's field yields ``NotImplemented``, so mixed
 ``Qsqrt3`` / ``CScalar`` arithmetic works in both orders.
 """
@@ -60,15 +61,15 @@ class _QuadraticExtension:
 
     def __init__(self, a, b=None):
         lift = self._lift
-        object.__setattr__(self, "a", lift(a))
-        object.__setattr__(self, "b", self._ZERO if b is None else lift(b))
+        _set_a(self, lift(a))
+        _set_b(self, self._ZERO if b is None else lift(b))
 
     @classmethod
     def _of(cls, a, b):
         """Build from two base-field values without coercing them."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "a", a)
-        object.__setattr__(x, "b", b)
+        x = _new(cls)
+        _set_a(x, a)
+        _set_b(x, b)
         return x
 
     def __setattr__(self, name, value):
@@ -85,8 +86,6 @@ class _QuadraticExtension:
 
     def _peer(self, x):
         """x in this field, or None when it cannot be coerced."""
-        if isinstance(x, type(self)):
-            return x
         try:
             return self.coerce(x)
         except TypeError:
@@ -96,9 +95,10 @@ class _QuadraticExtension:
         return bool(self.a) or bool(self.b)
 
     def __eq__(self, other) -> bool:
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not type(self):
+            other = self._peer(other)
+            if other is None:
+                return NotImplemented
         return self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
@@ -107,10 +107,14 @@ class _QuadraticExtension:
         return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __add__(self, other):
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        return self._of(self.a + other.a, self.b + other.b)
+        if type(other) is not type(self):
+            other = self._peer(other)
+            if other is None:
+                return NotImplemented
+        x = _new(type(self))
+        _set_a(x, self.a + other.a)
+        _set_b(x, self.b + other.b)
+        return x
 
     __radd__ = __add__
 
@@ -125,16 +129,24 @@ class _QuadraticExtension:
 
     def __mul__(self, other):
         a, b = self.a, self.b
-        if isinstance(other, int) and not b:
-            return self._of(a * other, self._ZERO)
-        other = self._peer(other)
-        if other is None:
-            return NotImplemented
-        c, d = other.a, other.b
+        if type(other) is type(self):
+            c, d = other.a, other.b
+        elif isinstance(other, int) and not b:
+            c, d = other, 0
+        else:
+            other = self._peer(other)
+            if other is None:
+                return NotImplemented
+            c, d = other.a, other.b
+        x = _new(type(self))
         if not b and not d:
-            return self._of(a * c, self._ZERO)
-        # (a + b u)(c + d u) = (ac + SQUARE bd) + (ad + bc) u
-        return self._of(a * c + self.SQUARE * b * d, a * d + b * c)
+            _set_a(x, a * c)
+            _set_b(x, self._ZERO)
+        else:
+            # (a + b u)(c + d u) = (ac + SQUARE bd) + (ad + bc) u
+            _set_a(x, a * c + self.SQUARE * b * d)
+            _set_b(x, a * d + b * c)
+        return x
 
     __rmul__ = __mul__
 
@@ -145,6 +157,13 @@ class _QuadraticExtension:
         if not self.b:
             return f"{type(self).__name__}({self.a})"
         return f"{type(self).__name__}({self.a}, {self.b})"
+
+
+# the slot writers and the allocator that build every value: the slots'
+# own descriptors, so ``__setattr__``, which refuses every write, is bypassed
+_set_a = _QuadraticExtension.a.__set__
+_set_b = _QuadraticExtension.b.__set__
+_new = object.__new__
 
 
 class Qsqrt3(_QuadraticExtension):

@@ -267,6 +267,19 @@ def test_operators_are_immutable_unequal_to_scalars_and_show_their_size():
     assert repr(sp2r_generator("J0")) == "OperatorExpr(7 terms)"
 
 
+def test_algebra_with_an_operand_that_is_not_an_operator_is_a_type_error():
+    # + and - return NotImplemented, as Polynomial's do; the products name the type
+    op = sp2r_generator("J0")
+    for bad in (1, Polynomial.zero(), Polynomial.variable(1)):
+        for call in (lambda: op + bad, lambda: op - bad, lambda: bad + op, lambda: bad - op):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                call()
+        assert op.__add__(bad) is NotImplemented and op.__sub__(bad) is NotImplemented
+        for call in (op.compose, op.commutator):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                call(bad)
+
+
 def test_word_reorders_repeated_modes():
     # d1 d1 z1 z1 = z1^2 d1^2 + 4 z1 d1 + 2, built symbol by symbol and as
     # one product d1^2 . z1^2 that contracts two derivatives at once

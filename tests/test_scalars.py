@@ -1,10 +1,13 @@
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schwinger_su3.scalars import CScalar, Qsqrt3
+from schwinger_su3.scalars import CScalar, Qsqrt3, _QuadraticExtension
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 elements = st.builds(Qsqrt3, rationals, rationals)
@@ -147,3 +150,118 @@ def test_ring_operations_keep_parts_exact(pair, data):
     for x in (a * b, a * 3, 2 * b):
         for part in _parts(x):
             assert type(part) in (int, Fraction), x
+
+
+# The generic route that +, *, == and - took for every operand before an
+# operand of the left operand's own type went straight to the arithmetic: the
+# operand coerced through ``_peer``, the parts combined by this same route one
+# field down, and an operand that the left one cannot take handed to the right
+# one's reflected method, as Python's dispatch does (``__radd__`` is
+# ``__add__``, ``__rmul__`` is ``__mul__``).
+
+
+def _ref_add(x, y):
+    if not isinstance(x, _QuadraticExtension):
+        return _ref_add(y, x) if isinstance(y, _QuadraticExtension) else x + y
+    p = x._peer(y)
+    if p is None:
+        return _ref_add(y, x)
+    return type(x)._of(_ref_add(x.a, p.a), _ref_add(x.b, p.b))
+
+
+def _ref_neg(x):
+    if not isinstance(x, _QuadraticExtension):
+        return -x
+    return type(x)._of(_ref_neg(x.a), _ref_neg(x.b) if x.b else x._ZERO)
+
+
+def _ref_sub(x, y):
+    # x - y is x + (-y); with x not a field element, y's __rsub__ gives -y + x
+    if isinstance(x, _QuadraticExtension):
+        return _ref_add(x, _ref_neg(y))
+    return _ref_add(_ref_neg(y), x)
+
+
+def _ref_mul(x, y):
+    if not isinstance(x, _QuadraticExtension):
+        return _ref_mul(y, x) if isinstance(y, _QuadraticExtension) else x * y
+    a, b = x.a, x.b
+    if isinstance(y, int) and not b:
+        return type(x)._of(_ref_mul(a, y), x._ZERO)
+    p = x._peer(y)
+    if p is None:
+        return _ref_mul(y, x)
+    c, d = p.a, p.b
+    if not b and not d:
+        return type(x)._of(_ref_mul(a, c), x._ZERO)
+    return type(x)._of(_ref_add(_ref_mul(a, c), _ref_mul(_ref_mul(x.SQUARE, b), d)),
+                       _ref_add(_ref_mul(a, d), _ref_mul(b, c)))
+
+
+def _ref_eq(x, y):
+    if not isinstance(x, _QuadraticExtension):
+        return _ref_eq(y, x) if isinstance(y, _QuadraticExtension) else x == y
+    p = x._peer(y)
+    if p is None:
+        return _ref_eq(y, x)
+    return _ref_eq(x.a, p.a) and _ref_eq(x.b, p.b)
+
+
+def _same(got, want):
+    """Equal value, type and part types, read from the parts, not with ==."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, _QuadraticExtension):
+        assert _parts(got) == _parts(want), (got, want)
+        assert [type(t) for t in _parts(got)] == [type(t) for t in _parts(want)], (got, want)
+    else:
+        assert got == want
+
+
+# a rational lifts to its field with int or Fraction parts; bool is an int
+base_operands = st.one_of(exact_parts, st.booleans())
+# values also as arithmetic leaves them: a part may be a Fraction with
+# denominator 1, zero among them, which the constructor would make an int
+raw_parts = st.one_of(exact_parts, st.integers(-3, 3).map(Fraction))
+field_elements = st.one_of(exact_elements, st.builds(Qsqrt3._of, raw_parts, raw_parts))
+field_complexes = st.one_of(exact_complexes,
+                            st.builds(CScalar._of, field_elements, field_elements))
+
+
+@pytest.mark.parametrize("pair", [
+    pytest.param(st.tuples(field_elements, field_elements), id="Qsqrt3-Qsqrt3"),
+    pytest.param(st.tuples(field_elements, base_operands), id="Qsqrt3-rational"),
+    pytest.param(st.tuples(field_complexes, field_complexes), id="CScalar-CScalar"),
+    pytest.param(st.tuples(field_complexes, base_operands), id="CScalar-rational"),
+    pytest.param(st.tuples(field_complexes, field_elements), id="CScalar-Qsqrt3"),
+])
+@given(data=st.data())
+def test_arithmetic_matches_the_generic_route(pair, data):
+    x, y = data.draw(pair)
+    for op, ref in ((operator.add, _ref_add), (operator.mul, _ref_mul),
+                    (operator.sub, _ref_sub)):
+        for left, right in ((x, y), (y, x)):
+            _same(op(left, right), ref(left, right))
+    # equal values too: x against a copy of itself and y against its lift;
+    # and x against x + u, equal in a only
+    unit = type(x)(0, 1)
+    for left, right in ((x, y), (x, copy.copy(x)), (type(x).coerce(y), y),
+                        (x, _ref_add(x, unit))):
+        assert (left == right) is _ref_eq(left, right)
+        assert (right == left) is _ref_eq(right, left)
+        assert (left != right) is not _ref_eq(left, right)
+
+
+@given(exact_parts)
+def test_values_built_by_of_are_immutable_hash_and_pickle(r):
+    rat = Qsqrt3(r).rat
+    values = [Qsqrt3._of(rat, 0), CScalar._of(Qsqrt3._of(rat, 0), Qsqrt3(0)),
+              Qsqrt3(r) * Qsqrt3(1), Qsqrt3(r) + Qsqrt3(0), Qsqrt3(r) * 1,
+              CScalar(r) * CScalar(1), CScalar(r) + CScalar(0), -(-CScalar(r))]
+    for x in values:
+        for name in ("a", "b", "rat", "re", "c"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+        assert x == r and hash(x) == hash(r)
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            _same(y, x)
+            assert hash(y) == hash(x)
